@@ -1,48 +1,49 @@
-"""Pure-Python kernels: the reference implementation of the hot loops.
+"""Hot-loop kernels: the Monte-Carlo trial loops and the codec census.
 
-Each function here mirrors, word for word, the draw discipline documented
-in :mod:`otplab.rng` and the pad construction in :mod:`otplab.reduction`;
-the compiled extension reimplements the same loops in C and is required by
-the test suite to produce identical output.  Pads are handled as raw
-integers (value of the bit string read MSB-first) so these loops stay fast
-without the extension.
+Each function replays, word for word, the draw discipline documented in
+:mod:`otplab.rng` and the pad construction in :mod:`otplab.reduction`, and
+the test suite checks it against that library path.  Pads are handled as
+raw integers (value of the bit string read MSB-first) so these loops stay
+fast in pure Python.
+
+:mod:`otplab.reduction` owns the protocol rules: which ``(n, k)`` are valid,
+the reserved tails and the allowed tails.  The kernels take them from there
+and add one limit of their own, ``n <= 63``, because each pad is cut from a
+single 64-bit generator word.
 
 Shared trial contract (one independent child stream per trial index):
 
 * reduction trial: 1 word  -> k-bit length coin
 * eve trial:       4 words -> message, pad coin, pad bits, Eve's guess
 * distinguisher:   4 words -> two pads (coin + bits each)
-
-All kernels require ``1 <= k < n <= 63`` and ``n >= k + 2**(k-1)``.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..rng import derive_child_seed, splitmix64_next
+from .reduction import ReductionParams, allowed_tails, reserved_pattern
+from .rng import derive_child_seed, splitmix64_next
 
 IMPL_NAME = "pure"
 
 
-def _check_params(n: int, k: int) -> None:
-    if not 1 <= k < n <= 63:
-        raise ValueError(f"kernel needs 1 <= k < n <= 63, got n={n}, k={k}")
-    if n < k + (1 << (k - 1)):
-        raise ValueError(f"n={n} too short for k={k}")
+def available_impls() -> tuple:
+    """Names of the kernel implementations: this module is the only one."""
+    return (IMPL_NAME,)
 
 
-def _allowed_tails(n: int, k: int) -> List[int]:
-    # Mirrors reduction.allowed_tails: ascending non-reserved k-bit values.
-    mask = (1 << k) - 1
-    reserved = {(n - i) & mask for i in range(1, k + 1)}
-    return [v for v in range(1 << k) if v not in reserved]
+def _params(n: int, k: int) -> ReductionParams:
+    params = ReductionParams(n, k)
+    if n > 63:
+        raise ValueError(
+            f"kernels cut each pad from one 64-bit word; need n <= 63, got n={n}"
+        )
+    return params
 
 
 def census_counts(n: int) -> List[int]:
     """Bits-saved histogram of the trailing-zeros codec over all 2**n pads."""
-    if not 1 <= n <= 24:
-        raise ValueError("census kernel supports n in 1..24")
     counts = [0] * (n + 1)
     counts[0] = 1  # the all-zeros pad is the only one that saves nothing
     for v in range(1, 1 << n):
@@ -51,7 +52,7 @@ def census_counts(n: int) -> List[int]:
 
 
 def _effective_pad(
-    n: int, k: int, tails: List[int], reserved: List[int], state: int
+    n: int, k: int, tails: Tuple[int, ...], reserved: List[int], state: int
 ) -> Tuple[int, int]:
     """Draw one transmitted pad (2 words) and complete it to n bits."""
     w, state = splitmix64_next(state)
@@ -66,28 +67,24 @@ def _effective_pad(
     return (head << k) | tails[coin - k], state
 
 
-def reduction_length_counts(
-    n: int, k: int, seed: int, trials: int, start: int = 0
-) -> List[int]:
+def reduction_length_counts(n: int, k: int, seed: int, trials: int) -> List[int]:
     """Counts of transmitted length ``n - i`` for i = 0..k over the trials."""
-    _check_params(n, k)
+    _params(n, k)
     counts = [0] * (k + 1)
-    for t in range(start, start + trials):
+    for t in range(trials):
         w, _ = splitmix64_next(derive_child_seed(seed, t))
         coin = w >> (64 - k)
         counts[coin + 1 if coin < k else 0] += 1
     return counts
 
 
-def eve_guess_correct(
-    n: int, k: int, seed: int, trials: int, start: int = 0
-) -> int:
+def eve_guess_correct(n: int, k: int, seed: int, trials: int) -> int:
     """Correct guesses (out of trials*k) by an eavesdropper guessing the
     last k message bits uniformly after seeing the ciphertext."""
-    _check_params(n, k)
+    _params(n, k)
     kmask = (1 << k) - 1
     correct = 0
-    for t in range(start, start + trials):
+    for t in range(trials):
         state = derive_child_seed(seed, t)
         w, state = splitmix64_next(state)  # message
         message = w >> (64 - n)
@@ -100,20 +97,17 @@ def eve_guess_correct(
 
 
 def distinguisher_counts(
-    n: int, k: int, m0: int, m1: int, seed: int, trials: int, start: int = 0
+    n: int, k: int, m0: int, m1: int, seed: int, trials: int
 ) -> Tuple[List[int], List[int]]:
     """Ciphertext histograms for the two candidate messages."""
-    _check_params(n, k)
-    if n > 24:
-        raise ValueError("distinguisher histograms need n <= 24")
-    if m0 >> n or m1 >> n or m0 < 0 or m1 < 0:
-        raise ValueError("messages must be n-bit values")
-    mask = (1 << k) - 1
-    tails = _allowed_tails(n, k)
-    reserved = [(n - i) & mask for i in range(1, k + 1)]
+    params = _params(n, k)
+    tails = allowed_tails(params)
+    reserved = [
+        reserved_pattern(params, i).pattern.value for i in range(1, k + 1)
+    ]
     hist0 = [0] * (1 << n)
     hist1 = [0] * (1 << n)
-    for t in range(start, start + trials):
+    for t in range(trials):
         state = derive_child_seed(seed, t)
         eff0, state = _effective_pad(n, k, tails, reserved, state)
         eff1, state = _effective_pad(n, k, tails, reserved, state)

@@ -22,7 +22,8 @@ _HEADER_LEN = len(MAGIC) + 8
 
 
 class PadFormatError(ValueError):
-    """Base class for OTPD container violations."""
+    """Base class for OTPD container violations; also raised for a pad whose
+    length the protocol reading it cannot accept."""
 
 
 class BadMagicError(PadFormatError):

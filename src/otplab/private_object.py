@@ -159,8 +159,20 @@ def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]
 def verify_statements(
     statements: Iterable[Statement], obj: PrivateObject
 ) -> BitString:
-    """Check each statement against the object: true -> 0, false -> 1."""
-    return BitString(0 if stmt.is_true_of(obj) else 1 for stmt in statements)
+    """Check each statement against the object: true -> 0, false -> 1.
+
+    A statement naming a feature the object lacks cannot have come from
+    :func:`encode_statements`, so it raises :class:`StatementParseError`.
+    """
+    width = obj.entropy_bits
+    bits = []
+    for stmt in statements:
+        if not 1 <= stmt.feature_index <= width:
+            raise StatementParseError(
+                f"feature index {stmt.feature_index} outside 1..{width}"
+            )
+        bits.append(0 if stmt.is_true_of(obj) else 1)
+    return BitString(bits)
 
 
 def statement_to_line(stmt: Statement) -> str:

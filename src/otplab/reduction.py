@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .bitstring import BitString, xor
+from .padfile import PadFormatError
 from .rng import RandomSource
 
 
@@ -102,14 +103,18 @@ def reserved_pattern(params: ReductionParams, i: int) -> ReservedPattern:
     """The tail forced onto a pad transmitted ``i`` bits short (1 <= i <= k)."""
     if not 1 <= i <= params.k:
         raise ValueError(f"pattern index {i} outside 1..{params.k}")
-    value = (params.n - i) & ((1 << params.k) - 1)
+    value = _reserved_value(params, i)
     return ReservedPattern(index=i, pattern=BitString.from_int(value, params.k))
+
+
+def _reserved_value(params: ReductionParams, i: int) -> int:
+    # P_i: the k low-order bits of n - i.
+    return (params.n - i) & ((1 << params.k) - 1)
 
 
 def allowed_tails(params: ReductionParams) -> Tuple[int, ...]:
     """The ``2**k - k`` non-reserved k-bit tail values, ascending."""
-    mask = (1 << params.k) - 1
-    reserved = {(params.n - i) & mask for i in range(1, params.k + 1)}
+    reserved = {_reserved_value(params, i) for i in range(1, params.k + 1)}
     return tuple(v for v in range(1 << params.k) if v not in reserved)
 
 
@@ -141,12 +146,13 @@ def effective_pad(gp: GeneratedPad, params: ReductionParams) -> BitString:
     """Complete a transmitted pad to the full ``n`` bits used for XOR.
 
     Deterministic, so both endpoints compute identical results from their
-    shared pad.
+    shared pad.  A pad whose length lies outside ``n - k .. n`` cannot have
+    come from the sender, so it raises :class:`PadFormatError`.
     """
     n, k = params.n, params.k
     length = gp.original_length
     if not n - k <= length <= n:
-        raise ValueError(
+        raise PadFormatError(
             f"pad length {length} incompatible with n={n}, k={k} "
             f"(expected {n - k}..{n})"
         )

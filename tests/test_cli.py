@@ -225,3 +225,35 @@ def test_bad_k_is_exit_2(capsys):
                        "--trials", "10")
     assert code == 2
     assert "k=4" in err or "too short" in err
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_reduced_pad_of_impossible_length_is_exit_3(capsys, tmp_path, command):
+    short = tmp_path / "short.otpd"
+    write_pad(short, BitString("10110"))  # reduced pads for n=10, k=2 are 8..10
+    code, out, err = run(capsys, command, "--pad", str(short),
+                         "--in", "0010110101", "--reduced",
+                         "--message-bits", "10", "--k", "2")
+    assert code == 3
+    assert out == ""
+    assert "pad length 5" in err
+
+
+def test_statement_past_pad_end_is_exit_3(capsys, tmp_path):
+    pad = tmp_path / "pad4.otpd"
+    write_pad(pad, BitString("1011"))
+    stmts = tmp_path / "stmts.txt"
+    stmts.write_text("".join(f"{i} 0\n" for i in range(1, 9)))
+    code, out, err = run(capsys, "po-decode", "--pad", str(pad),
+                         "--in", str(stmts))
+    assert code == 3
+    assert out == ""
+    assert "feature index 5 outside 1..4" in err
+
+
+def test_po_encode_message_longer_than_pad_is_exit_2(capsys, pad_file):
+    code, out, err = run(capsys, "po-encode", "--pad", pad_file,
+                         "--in", "00101101011")
+    assert code == 2
+    assert out == ""
+    assert "features" in err

@@ -1,4 +1,4 @@
-"""Kernel contracts: pure/compiled parity and agreement with the library path."""
+"""Kernel contracts: agreement with the library path at every k."""
 
 import pytest
 
@@ -12,70 +12,30 @@ from otplab.reduction import (
 )
 from otplab.rng import RandomSource, derive_child_seed
 
-IMPLS = [_kernels.get_impl(name) for name in _kernels.available_impls()]
 GRID = [(10, 1), (10, 2), (10, 3), (12, 4), (8, 2)]
+grid = pytest.mark.parametrize("n, k", GRID, ids=[f"n{n}k{k}" for n, k in GRID])
 
 
 def test_selected_impl_is_sane():
-    assert _kernels.IMPL_NAME in ("pure", "compiled")
-    assert "pure" in _kernels.available_impls()
+    assert _kernels.available_impls() == (_kernels.IMPL_NAME,) == ("pure",)
 
 
-def test_get_impl_unknown_name():
-    with pytest.raises(ValueError):
-        _kernels.get_impl("gpu")
-
-
-@pytest.mark.skipif(len(IMPLS) < 2, reason="compiled kernels not built")
-class TestParity:
-    """The compiled kernels must reproduce the pure ones bit for bit."""
-
-    def test_census(self):
-        pure, compiled = IMPLS
-        for n in (1, 2, 7, 12, 16):
-            assert pure.census_counts(n) == compiled.census_counts(n)
-
-    def test_reduction_counts(self):
-        pure, compiled = IMPLS
-        for n, k in GRID:
-            for seed in (0, 42, 2**63 + 11):
-                assert pure.reduction_length_counts(
-                    n, k, seed, 700
-                ) == compiled.reduction_length_counts(n, k, seed, 700)
-
-    def test_eve(self):
-        pure, compiled = IMPLS
-        for n, k in GRID:
-            for seed in (0, 42, 2**63 + 11):
-                assert pure.eve_guess_correct(
-                    n, k, seed, 700
-                ) == compiled.eve_guess_correct(n, k, seed, 700)
-
-    def test_distinguisher(self):
-        pure, compiled = IMPLS
-        for n, k in GRID:
-            m0, m1 = 0, (1 << n) - 1
-            for seed in (0, 42):
-                assert pure.distinguisher_counts(
-                    n, k, m0, m1, seed, 400
-                ) == compiled.distinguisher_counts(n, k, m0, m1, seed, 400)
-
-
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPL_NAME)
 class TestAgainstLibraryPath:
     """Kernels replicate the exact draws the library itself would make."""
 
-    def test_reduction_counts(self, impl):
-        n, k, seed, trials = 10, 2, 31337, 2000
+    @grid
+    def test_reduction_counts(self, n, k):
+        seed, trials = 31337, 2000
         params = ReductionParams(n, k)
         expected = [0] * (k + 1)
         for t in range(trials):
             src = RandomSource(derive_child_seed(seed, t))
             expected[n - sample_pad_length(params, src)] += 1
-        assert impl.reduction_length_counts(n, k, seed, trials) == expected
+        assert _kernels.reduction_length_counts(n, k, seed, trials) == expected
 
-    def test_eve(self, impl):
-        n, k, seed, trials = 10, 3, 4242, 1500
+    @grid
+    def test_eve(self, n, k):
+        seed, trials = 4242, 1500
         params = ReductionParams(n, k)
         correct = 0
         for t in range(trials):
@@ -86,10 +46,11 @@ class TestAgainstLibraryPath:
             guess = src.bits(k)
             tail = message[n - k:]
             correct += sum(1 for g, m in zip(guess, tail) if g == m)
-        assert impl.eve_guess_correct(n, k, seed, trials) == correct
+        assert _kernels.eve_guess_correct(n, k, seed, trials) == correct
 
-    def test_distinguisher(self, impl):
-        n, k, seed, trials = 8, 2, 909, 1500
+    @grid
+    def test_distinguisher(self, n, k):
+        seed, trials = 909, 1500
         params = ReductionParams(n, k)
         m0, m1 = BitString.zeros(n), BitString.ones(n)
         hist0 = [0] * (1 << n)
@@ -100,53 +61,22 @@ class TestAgainstLibraryPath:
                                         params)).value] += 1
             hist1[xor(m1, effective_pad(generate_reduced_pad(params, src),
                                         params)).value] += 1
-        assert impl.distinguisher_counts(n, k, m0.value, m1.value, seed,
-                                         trials) == (hist0, hist1)
+        assert _kernels.distinguisher_counts(n, k, m0.value, m1.value, seed,
+                                             trials) == (hist0, hist1)
 
-    def test_census_against_formula(self, impl):
+    def test_census_against_formula(self):
         for n in (1, 4, 9, 14):
-            counts = impl.census_counts(n)
+            counts = _kernels.census_counts(n)
             assert counts[0] == 1
             assert counts[1:] == [1 << (n - m - 1) for m in range(n)]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPL_NAME)
-class TestChunking:
-    """Trial t depends only on (seed, t): chunked runs merge exactly."""
-
-    def test_reduction_merge(self, impl):
-        n, k, seed = 10, 3, 17
-        whole = impl.reduction_length_counts(n, k, seed, 1000)
-        first = impl.reduction_length_counts(n, k, seed, 400)
-        second = impl.reduction_length_counts(n, k, seed, 600, start=400)
-        assert whole == [a + b for a, b in zip(first, second)]
-
-    def test_eve_merge(self, impl):
-        n, k, seed = 10, 2, 17
-        whole = impl.eve_guess_correct(n, k, seed, 1000)
-        parts = impl.eve_guess_correct(n, k, seed, 250) + impl.eve_guess_correct(
-            n, k, seed, 750, start=250
-        )
-        assert whole == parts
-
-    def test_distinguisher_merge(self, impl):
-        n, k, seed = 8, 1, 17
-        w0, w1 = impl.distinguisher_counts(n, k, 0, 255, seed, 800)
-        a0, a1 = impl.distinguisher_counts(n, k, 0, 255, seed, 300)
-        b0, b1 = impl.distinguisher_counts(n, k, 0, 255, seed, 500, start=300)
-        assert w0 == [x + y for x, y in zip(a0, b0)]
-        assert w1 == [x + y for x, y in zip(a1, b1)]
-
-
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPL_NAME)
-def test_kernel_validation(impl):
+def test_kernel_validation():
     with pytest.raises(ValueError):
-        impl.reduction_length_counts(10, 0, 1, 10)
+        _kernels.reduction_length_counts(10, 0, 1, 10)
     with pytest.raises(ValueError):
-        impl.reduction_length_counts(10, 4, 1, 10)  # needs n >= 12
+        _kernels.reduction_length_counts(10, 4, 1, 10)  # needs n >= 12
     with pytest.raises(ValueError):
-        impl.eve_guess_correct(64, 1, 1, 10)
+        _kernels.eve_guess_correct(64, 1, 1, 10)
     with pytest.raises(ValueError):
-        impl.census_counts(25)
-    with pytest.raises(ValueError):
-        impl.distinguisher_counts(8, 1, 256, 0, 1, 10)  # m0 too wide
+        _kernels.distinguisher_counts(10, 4, 0, 1023, 1, 10)  # needs n >= 12
