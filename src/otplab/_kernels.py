@@ -7,9 +7,10 @@ raw integers (value of the bit string read MSB-first) so these loops stay
 fast in pure Python.
 
 :mod:`otplab.reduction` owns the protocol rules: which ``(n, k)`` are valid,
-the reserved tails and the allowed tails.  The kernels take them from there
-and add one limit of their own, ``n <= 63``, because each pad is cut from a
-single 64-bit generator word.
+the reserved tails and the allowed tails.  The kernels take them from there.
+The eve and distinguisher kernels add one limit of their own, ``n <= 63``,
+because each message and pad is cut from a single 64-bit generator word; the
+reduction kernel draws only the k-bit length coin and has no such limit.
 
 Shared trial contract (one independent child stream per trial index):
 
@@ -69,7 +70,7 @@ def _effective_pad(
 
 def reduction_length_counts(n: int, k: int, seed: int, trials: int) -> List[int]:
     """Counts of transmitted length ``n - i`` for i = 0..k over the trials."""
-    _params(n, k)
+    ReductionParams(n, k)
     counts = [0] * (k + 1)
     for t in range(trials):
         w, _ = splitmix64_next(derive_child_seed(seed, t))

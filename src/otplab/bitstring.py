@@ -15,6 +15,9 @@ from typing import Iterable, Iterator, Union
 
 BitsLike = Union[str, Iterable[int], "BitString"]
 
+# Maps the ASCII digits of to01() to byte values, whose iteration yields ints.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class BitString:
     """An immutable sequence of 0/1 bits, not necessarily byte-aligned.
@@ -30,18 +33,20 @@ class BitString:
         if isinstance(bits, BitString):
             value, length = bits._value, bits._length
         elif isinstance(bits, str):
-            if not set(bits) <= {"0", "1"}:
+            # int(text, 2) alone would also accept "_", whitespace, signs
+            # and a "0b" prefix, so check the characters first.
+            if not bits.isascii() or bits.encode("ascii").translate(None, b"01"):
                 raise ValueError("bit string text may contain only '0' and '1'")
             length = len(bits)
             value = int(bits, 2) if bits else 0
         else:
-            value = 0
-            length = 0
+            chars = []
             for b in bits:
                 if b not in (0, 1):
                     raise ValueError(f"bit must be 0 or 1, got {b!r}")
-                value = (value << 1) | b
-                length += 1
+                chars.append("1" if b else "0")
+            length = len(chars)
+            value = int("".join(chars), 2) if chars else 0
         self._value = value
         self._length = length
 
@@ -99,8 +104,7 @@ class BitString:
         return (self._value >> (self._length - 1 - index)) & 1
 
     def __iter__(self) -> Iterator[int]:
-        for i in range(self._length):
-            yield (self._value >> (self._length - 1 - i)) & 1
+        return iter(self.to01().encode("ascii").translate(_DIGIT_VALUES))
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import List, Optional
 
 from . import analysis, codec, facts, private_object, reduction
@@ -251,9 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building it costs more than most commands on small inputs.
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (PadFormatError, CorruptPadError, ParseError, StatementParseError) as exc:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 from .bitstring import BitString, xor
@@ -112,6 +113,7 @@ def _reserved_value(params: ReductionParams, i: int) -> int:
     return (params.n - i) & ((1 << params.k) - 1)
 
 
+@lru_cache(maxsize=64)  # every full-length pad draw needs the tails
 def allowed_tails(params: ReductionParams) -> Tuple[int, ...]:
     """The ``2**k - k`` non-reserved k-bit tail values, ascending."""
     reserved = {_reserved_value(params, i) for i in range(1, params.k + 1)}

@@ -9,8 +9,8 @@ This is a *deterministic* generator standing in for the perfect random
 source the protocols assume.  It makes no cryptographic claim; see the
 README for the consequences of that substitution.
 
-Draw discipline (part of the pinned contract, mirrored by the compiled
-kernels):
+Draw discipline (part of the pinned contract, mirrored by the pure-Python
+:mod:`otplab._kernels`):
 
 * ``bits(n)`` consumes exactly ``ceil(n / 64)`` generator words; the result
   is the concatenation of those words' bits MSB-first, truncated to the
@@ -82,11 +82,20 @@ class RandomSource:
             raise ValueError("bit count must be >= 0")
         if n == 0:
             return BitString.from_int(0, 0)
+        if n <= 64:
+            word, self._state = splitmix64_next(self._state)
+            return BitString.from_int(word >> (64 - n), n)
+        # Pack the words into one buffer and convert once: shifting a growing
+        # integer per word would make the draw quadratic in n.
         nwords = (n + 63) // 64
-        acc = 0
+        buf = bytearray()
+        state = self._state
         for _ in range(nwords):
-            acc = (acc << 64) | self.next_word()
-        return BitString.from_int(acc >> (64 * nwords - n), n)
+            word, state = splitmix64_next(state)
+            buf += word.to_bytes(8, "big")
+        self._state = state
+        value = int.from_bytes(buf, "big") >> (64 * nwords - n)
+        return BitString.from_int(value, n)
 
     def randbelow(self, n: int) -> int:
         """Exactly uniform integer in ``[0, n)`` via rejection sampling."""

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from otplab.bitstring import BitString, bits_from_text, text_from_bits, xor
+from otplab.rng import RandomSource
 
 from conftest import bitstrings, equal_length_pairs
 
@@ -16,13 +17,22 @@ def test_construct_from_text():
 def test_construct_from_iterable():
     assert BitString([1, 0, 1]).to01() == "101"
     assert BitString(()).to01() == ""
+    assert BitString(b for b in (0, 1, 1)).to01() == "011"
+    assert BitString([True, False]).to01() == "10"
+    s = RandomSource(5).bits(10_000)
+    bits = list(s)
+    assert {type(b) for b in bits} == {int}
+    assert BitString(bits) == s
 
 
 def test_construct_rejects_junk():
-    with pytest.raises(ValueError):
-        BitString("10x")
-    with pytest.raises(ValueError):
-        BitString([0, 2])
+    # int(text, 2) accepts every one of these but "10x".
+    for junk in ("10x", "1_0", " 10", "10\n", "+1", "0b1", "\uff11"):
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            BitString(junk)
+    for junk in ([0, 2], [0, 1, 2]):
+        with pytest.raises(ValueError, match="bit must be 0 or 1, got 2"):
+            BitString(junk)
 
 
 def test_from_int_bounds():

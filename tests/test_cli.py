@@ -176,6 +176,14 @@ def test_analyze_reduction(capsys):
     assert abs(mean - 0.75) < 0.01
 
 
+def test_analyze_reduction_past_one_word(capsys):
+    # Only the k-bit length coin is drawn, so n may exceed a 64-bit word.
+    code, out, _ = run(capsys, "analyze", "reduction", "--n", "64", "--k", "2",
+                       "--trials", "1000")
+    assert code == 0
+    assert "expected_saving=3/4" in out
+
+
 def test_analyze_eve(capsys):
     code, out, _ = run(capsys, "analyze", "eve", "--n", "10", "--k", "1",
                        "--trials", "20000", "--seed", "1")

@@ -1,0 +1,35 @@
+"""Large inputs run in linear time: the bulk bit paths, timed at n and 8n.
+
+A linear path takes about 8 times as long at 8n, a quadratic one about 64
+times.  The bound of 24 leaves room for a host whose speed drifts by tens of
+percent between the two timings.
+"""
+
+import time
+
+from otplab.bitstring import BitString
+from otplab.rng import RandomSource
+
+N = 100_000
+MAX_RATIO = 24
+
+
+def _best_of_3(fn, arg):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(arg)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_bulk_bit_paths_scale_linearly():
+    small, large = RandomSource(1).bits(N), RandomSource(2).bits(8 * N)
+    cases = {
+        "RandomSource.bits": (lambda n: RandomSource(3).bits(n), N, 8 * N),
+        "BitString(text)": (BitString, small.to01(), large.to01()),
+        "list(BitString)": (list, small, large),
+    }
+    for name, (fn, at_n, at_8n) in cases.items():
+        ratio = _best_of_3(fn, at_8n) / _best_of_3(fn, at_n)
+        assert ratio < MAX_RATIO, f"{name}: 8x the input took {ratio:.1f}x as long"

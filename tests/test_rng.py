@@ -62,7 +62,7 @@ def test_bits_zero_consumes_nothing():
 
 def test_bits_word_discipline():
     # bits(n) consumes ceil(n/64) words, MSB-first, truncated to n bits.
-    for n in (1, 13, 63, 64, 65, 130):
+    for n in (1, 13, 63, 64, 65, 130, 4096, 4097, 100_003):
         src = RandomSource(7)
         got = src.bits(n)
         ref = RandomSource(7)
