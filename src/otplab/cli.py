@@ -92,8 +92,10 @@ def _cmd_pad_decompress(args) -> int:
 def _cmd_po_encode(args) -> int:
     message = _message_bits(args)
     obj = private_object.otp_object(read_pad(args.pad))
-    for stmt in private_object.encode_statements(message, obj):
-        print(private_object.statement_to_line(stmt))
+    statements = private_object.encode_statements(message, obj)
+    sys.stdout.write("".join(
+        private_object.statement_to_line(stmt) + "\n" for stmt in statements
+    ))
     return EXIT_OK
 
 
@@ -117,8 +119,9 @@ def _cmd_po_decode(args) -> int:
 def _cmd_facts_encode(args) -> int:
     message = _message_bits(args)
     src = RandomSource(args.seed)
-    for bit in message:
-        print(facts.encode_bit(bit, src, args.size_bound))
+    sys.stdout.write("".join(
+        facts.encode_bit(bit, src, args.size_bound) + "\n" for bit in message
+    ))
     return EXIT_OK
 
 

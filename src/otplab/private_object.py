@@ -7,6 +7,10 @@ object and reads the bits back off.  When the object is a pad and feature
 ``i`` is "bit i of the pad", the claimed values are exactly the XOR
 ciphertext, which is what makes the reinterpretation faithful.
 
+The encoder and the verifier read the object once per message, through
+:meth:`PrivateObject.features`, not once per bit: for a pad that is one
+slice, so encoding a message costs one XOR plus rendering the lines.
+
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
 indices 1, 2, 3, ... in order.
@@ -40,6 +44,12 @@ class PrivateObject(abc.ABC):
     @abc.abstractmethod
     def feature(self, index: int) -> int:
         """The bit value of feature ``index`` (1 <= index <= entropy_bits)."""
+
+    def features(self, count: int) -> BitString:
+        """Features ``1..count`` as one bit string, feature 1 leftmost."""
+        if count:
+            self._check_index(count)
+        return BitString(self.feature(i) for i in range(1, count + 1))
 
     def describe(self, index: int, claimed_value: int) -> str:
         """Human rendering of the claim 'feature <index> equals <value>'."""
@@ -88,6 +98,11 @@ class PadObject(PrivateObject):
     def feature(self, index: int) -> int:
         self._check_index(index)
         return self._pad[index - 1]
+
+    def features(self, count: int) -> BitString:
+        if count:
+            self._check_index(count)
+        return self._pad[:count]
 
     def describe(self, index: int, claimed_value: int) -> str:
         return f"bit {index} of the OTP is {claimed_value}"
@@ -143,17 +158,12 @@ def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]
             f"message has {message.length} bits but the object offers only "
             f"{obj.entropy_bits} independent features"
         )
-    statements = []
-    for j, bit in enumerate(message, start=1):
-        claimed = obj.feature(j) ^ bit
-        statements.append(
-            Statement(
-                feature_index=j,
-                claimed_value=claimed,
-                rendering=obj.describe(j, claimed),
-            )
-        )
-    return statements
+    claims = message ^ obj.features(message.length)
+    describe = obj.describe
+    return [
+        Statement(j, claimed, describe(j, claimed))
+        for j, claimed in enumerate(claims, start=1)
+    ]
 
 
 def verify_statements(
@@ -165,14 +175,17 @@ def verify_statements(
     :func:`encode_statements`, so it raises :class:`StatementParseError`.
     """
     width = obj.entropy_bits
+    values = obj.features(width).to01()
     bits = []
     for stmt in statements:
-        if not 1 <= stmt.feature_index <= width:
+        index = stmt.feature_index
+        if not 1 <= index <= width:
             raise StatementParseError(
-                f"feature index {stmt.feature_index} outside 1..{width}"
+                f"feature index {index} outside 1..{width}"
             )
-        bits.append(0 if stmt.is_true_of(obj) else 1)
-    return BitString(bits)
+        feature = values[index - 1] == "1"
+        bits.append("0" if feature == stmt.claimed_value else "1")
+    return BitString("".join(bits))
 
 
 def statement_to_line(stmt: Statement) -> str:
@@ -188,14 +201,19 @@ def statement_from_line(line: str) -> Statement:
         raise StatementParseError(
             f"statement line needs '<index> <value>': {line!r}"
         )
-    try:
-        index = int(parts[0])
-        claimed = int(parts[1])
-    except ValueError as exc:
-        raise StatementParseError(f"malformed statement line: {line!r}") from exc
-    if claimed not in (0, 1):
+    # Accept only what statement_to_line writes: int() alone would also take
+    # signs, underscores, leading zeros and non-ASCII digits.
+    index_text, claimed_text = parts[0], parts[1]
+    if claimed_text not in ("0", "1"):
         raise StatementParseError(f"claimed value must be 0 or 1: {line!r}")
-    if index < 1:
-        raise StatementParseError(f"feature index must be >= 1: {line!r}")
+    if not (index_text.isascii() and index_text.isdigit()) or index_text[0] == "0":
+        raise StatementParseError(
+            f"feature index must be a decimal number >= 1: {line!r}"
+        )
+    try:
+        index = int(index_text)
+    except ValueError as exc:  # more digits than int() converts
+        raise StatementParseError(f"malformed statement line: {line!r}") from exc
+    claimed = 1 if claimed_text == "1" else 0
     rendering = parts[2] if len(parts) == 3 else ""
     return Statement(feature_index=index, claimed_value=claimed, rendering=rendering)

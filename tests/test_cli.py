@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from otplab.bitstring import BitString, bits_from_text
 from otplab.cli import main
 from otplab.padfile import read_pad, write_pad
+from otplab.rng import RandomSource
 
 
 def run(capsys, *argv):
@@ -142,6 +145,35 @@ def test_facts_encode_decode(capsys, tmp_path):
     assert decoded.strip() == "0110"
 
 
+def test_po_encode_output_is_the_xor_ciphertext_lines(capsys, tmp_path):
+    n = 10_000
+    pad, message = RandomSource(31).bits(n), RandomSource(32).bits(n)
+    pad_path = tmp_path / "pad.otpd"
+    write_pad(pad_path, pad)
+    claims = format(int(message.to01(), 2) ^ int(pad.to01(), 2), f"0{n}b")
+    expected = "".join(f"{j} {c} bit {j} of the OTP is {c}\n"
+                       for j, c in enumerate(claims, start=1))
+    code, out, _ = run(capsys, "po-encode", "--pad", str(pad_path),
+                       "--in", message.to01())
+    assert code == 0
+    assert out == expected
+
+
+def test_po_encode_empty_message_writes_nothing(capsys, pad_file):
+    assert run(capsys, "po-encode", "--pad", pad_file, "--in", "") == (0, "", "")
+
+
+def test_facts_encode_output_is_pinned(capsys):
+    # Digest of the output before facts-encode wrote its lines in one call.
+    message = RandomSource(5).bits(2048).to01()
+    code, out, _ = run(capsys, "facts-encode", "--in", message, "--seed", "99",
+                       "--size-bound", "20")
+    assert code == 0
+    assert out.count("\n") == 2048
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d0f6003c4b660e734bd99de8b6d578db962b3d9ae8cc6f32a20a32515b077ee4")
+
+
 def test_facts_decode_rejects_garbage(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("-p-q--\nnot a string\n")
@@ -257,6 +289,16 @@ def test_statement_past_pad_end_is_exit_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "feature index 5 outside 1..4" in err
+
+
+def test_non_canonical_statement_is_exit_3(capsys, pad_file, tmp_path):
+    stmts = tmp_path / "stmts.txt"
+    stmts.write_text("1_0 1\n")
+    code, out, err = run(capsys, "po-decode", "--pad", pad_file,
+                         "--in", str(stmts))
+    assert code == 3
+    assert out == ""
+    assert "1_0 1" in err
 
 
 def test_po_encode_message_longer_than_pad_is_exit_2(capsys, pad_file):

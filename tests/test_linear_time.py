@@ -1,4 +1,5 @@
-"""Large inputs run in linear time: the bulk bit paths, timed at n and 8n.
+"""Large inputs run in linear time: the bulk bit paths and statement
+verification, timed at n and 8n.
 
 A linear path takes about 8 times as long at 8n, a quadratic one about 64
 times.  The bound of 24 leaves room for a host whose speed drifts by tens of
@@ -8,6 +9,7 @@ percent between the two timings.
 import time
 
 from otplab.bitstring import BitString
+from otplab.private_object import Statement, otp_object, verify_statements
 from otplab.rng import RandomSource
 
 N = 100_000
@@ -33,3 +35,20 @@ def test_bulk_bit_paths_scale_linearly():
     for name, (fn, at_n, at_8n) in cases.items():
         ratio = _best_of_3(fn, at_8n) / _best_of_3(fn, at_n)
         assert ratio < MAX_RATIO, f"{name}: 8x the input took {ratio:.1f}x as long"
+
+
+def test_statement_verify_scales_linearly():
+    # One list of true statements about a 400 kbit pad; its first 50k
+    # statements are also true of the pad's first 50 kbit.
+    n = N // 2
+    pad = RandomSource(4).bits(8 * n)
+    stmts = [Statement(j, c) for j, c in enumerate(pad, start=1)]
+    small = (stmts[:n], otp_object(pad[:n]))
+    large = (stmts, otp_object(pad))
+    assert verify_statements(*small) == BitString.zeros(n)
+
+    def verify(case):
+        return verify_statements(*case)
+
+    ratio = _best_of_3(verify, large) / _best_of_3(verify, small)
+    assert ratio < MAX_RATIO, f"verify_statements: 8x took {ratio:.1f}x as long"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from otplab.bitstring import BitString, xor
 from otplab.otp import Pad, encrypt
@@ -16,7 +16,7 @@ from otplab.private_object import (
 )
 from otplab.rng import RandomSource
 
-from conftest import equal_length_pairs
+from conftest import bitstrings, equal_length_pairs
 
 PAD = BitString("1011001001")
 MSG = BitString("0010110101")
@@ -28,6 +28,8 @@ def test_pad_object_features_are_pad_bits():
     assert obj.feature(1) == 1
     assert obj.feature(3) == 1
     assert obj.feature(10) == 1
+    assert obj.features(4) == BitString("1011")
+    assert obj.features(10) == PAD
     with pytest.raises(ValueError):
         obj.feature(0)
     with pytest.raises(ValueError):
@@ -125,9 +127,62 @@ def test_wire_form_round_trip():
 
 
 def test_wire_form_errors():
-    for bad in ("", "7", "x 1", "7 2", "0 1", "7 x"):
+    # Only what statement_to_line writes parses: an unsigned ASCII decimal
+    # index without leading zeros, and a claimed value of exactly 0 or 1.
+    # int() alone would accept most of the lines below (1_0 as feature 10).
+    for bad in ("", "7", "x 1", "7 2", "0 1", "7 x",
+                "1_0 1", "+3 1", "-3 1", "\u0663 1", "2 +1", "2 01",
+                "2 \u0661", "07 1", "9" * 5000 + " 1"):
         with pytest.raises(StatementParseError):
             statement_from_line(bad)
+
+
+@st.composite
+def objects_and_messages(draw):
+    if draw(st.booleans()):
+        obj = otp_object(draw(bitstrings(min_len=1, max_len=96)))
+    else:
+        values = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+        obj = TableObject([(f"feature {i}", v) for i, v in enumerate(values)])
+    n = draw(st.integers(0, obj.entropy_bits))
+    return obj, draw(bitstrings(min_len=n, max_len=n))
+
+
+@given(objects_and_messages())
+def test_encode_is_one_xor_with_the_features(case):
+    obj, m = case
+    features = obj.features(m.length)
+    assert features == BitString(obj.feature(i) for i in range(1, m.length + 1))
+    stmts = encode_statements(m, obj)
+    assert BitString(s.claimed_value for s in stmts) == m ^ features
+    for j, s in enumerate(stmts, start=1):
+        assert s.feature_index == j
+        assert s.rendering == obj.describe(j, s.claimed_value)
+    assert verify_statements(stmts, obj) == m
+
+
+@pytest.mark.parametrize("obj", [otp_object(PAD), demo_object()])
+def test_features_bounds(obj):
+    assert obj.features(0) == BitString("")
+    assert obj.features(obj.entropy_bits).length == obj.entropy_bits
+    for count in (-1, obj.entropy_bits + 1):
+        with pytest.raises(ValueError):
+            obj.features(count)
+
+
+def test_verify_rejects_statement_past_pad_end():
+    obj = otp_object(PAD)
+    for index in (0, 11):
+        with pytest.raises(StatementParseError, match=f"feature index {index}"):
+            verify_statements([Statement(1, 1), Statement(index, 0)], obj)
+
+
+def test_verify_keeps_statement_order():
+    obj = otp_object(PAD)
+    stmts = encode_statements(MSG, obj)
+    assert verify_statements(stmts[::-1], obj) == BitString(MSG.to01()[::-1])
+    assert verify_statements(stmts[3:6], obj) == MSG[3:6]
+    assert verify_statements([stmts[9], stmts[0], stmts[9]], obj) == BitString("101")
 
 
 def test_wire_form_survives_random_messages():
