@@ -18,9 +18,7 @@ from .padfile import (
 )
 from .otp import Pad, PadReuseError, decrypt, encrypt, keygen
 from .reduction import (
-    GeneratedPad,
     ReductionParams,
-    ReservedPattern,
     allowed_tails,
     decrypt_reduced,
     effective_pad,
@@ -29,7 +27,6 @@ from .reduction import (
     generate_reduced_pad,
     max_k,
     reserved_pattern,
-    sample_pad_length,
 )
 from .codec import CorruptPadError, codec_census, compress_pad, decompress_pad
 from .private_object import (
@@ -38,7 +35,6 @@ from .private_object import (
     Statement,
     TableObject,
     encode_statements,
-    otp_object,
     verify_statements,
 )
 from .facts import (
@@ -82,13 +78,10 @@ __all__ = [
     "encrypt",
     "decrypt",
     "ReductionParams",
-    "ReservedPattern",
-    "GeneratedPad",
     "max_k",
     "expected_reduction",
     "reserved_pattern",
     "allowed_tails",
-    "sample_pad_length",
     "generate_reduced_pad",
     "effective_pad",
     "encrypt_reduced",
@@ -101,7 +94,6 @@ __all__ = [
     "PadObject",
     "TableObject",
     "Statement",
-    "otp_object",
     "encode_statements",
     "verify_statements",
     "ParseError",

@@ -103,9 +103,7 @@ def distinguisher_counts(
     """Ciphertext histograms for the two candidate messages."""
     params = _params(n, k)
     tails = allowed_tails(params)
-    reserved = [
-        reserved_pattern(params, i).pattern.value for i in range(1, k + 1)
-    ]
+    reserved = [reserved_pattern(params, i).value for i in range(1, k + 1)]
     hist0 = [0] * (1 << n)
     hist1 = [0] * (1 << n)
     for t in range(trials):

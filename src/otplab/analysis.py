@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import _kernels
 from .bitstring import BitString, xor
 from .reduction import (
-    GeneratedPad,
     ReductionParams,
     effective_pad,
     expected_reduction,
@@ -34,7 +33,8 @@ from .reduction import (
 )
 from .rng import RandomSource, derive_child_seed
 
-PadGenerator = Callable[[ReductionParams, RandomSource], GeneratedPad]
+# Draws one transmitted pad; its length is the secret transmitted length.
+PadGenerator = Callable[[ReductionParams, RandomSource], BitString]
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,10 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_reduce_keygen(args) -> int:
     params = reduction.ReductionParams(args.message_bits, args.k)
-    gp = reduction.generate_reduced_pad(params, RandomSource(args.seed))
-    write_pad(args.out, gp.bits)
-    print(f"sampled length {gp.original_length}")
-    print(f"wrote {gp.original_length}-bit pad to {args.out}")
+    pad = reduction.generate_reduced_pad(params, RandomSource(args.seed))
+    write_pad(args.out, pad)
+    print(f"sampled length {pad.length}")
+    print(f"wrote {pad.length}-bit pad to {args.out}")
     return EXIT_OK
 
 
@@ -66,11 +66,8 @@ def _cmd_encrypt(args, decrypting: bool = False) -> int:
         if args.message_bits is None or args.k is None:
             raise ValueError("--reduced requires --message-bits and --k")
         params = reduction.ReductionParams(args.message_bits, args.k)
-        gp = reduction.GeneratedPad(
-            bits=pad_bits, original_length=pad_bits.length
-        )
         op = reduction.decrypt_reduced if decrypting else reduction.encrypt_reduced
-        print(op(message, gp, params).to01())
+        print(op(message, pad_bits, params).to01())
         return EXIT_OK
     pad = Pad(bits=pad_bits)
     print((decrypt if decrypting else encrypt)(message, pad).to01())
@@ -91,7 +88,7 @@ def _cmd_pad_decompress(args) -> int:
 
 def _cmd_po_encode(args) -> int:
     message = _message_bits(args)
-    obj = private_object.otp_object(read_pad(args.pad))
+    obj = private_object.PadObject(read_pad(args.pad))
     statements = private_object.encode_statements(message, obj)
     sys.stdout.write("".join(
         private_object.statement_to_line(stmt) + "\n" for stmt in statements
@@ -107,7 +104,7 @@ def _read_lines(path: Optional[str]) -> List[str]:
 
 
 def _cmd_po_decode(args) -> int:
-    obj = private_object.otp_object(read_pad(args.pad))
+    obj = private_object.PadObject(read_pad(args.pad))
     statements = [
         private_object.statement_from_line(line)
         for line in _read_lines(getattr(args, "in"))

@@ -38,6 +38,8 @@ def decompress_pad(c: BitString, n: int) -> BitString:
     A full-length input must be all zeros; the compressor emits nothing else
     at full length, so any 1-bit there signals corruption.
     """
+    if n < 1:
+        raise ValueError(f"message length must be >= 1, got {n}")
     if c.length > n:
         raise CorruptPadError(
             f"compressed pad has {c.length} bits, longer than message length {n}"

@@ -130,11 +130,6 @@ class TableObject(PrivateObject):
         return f"'{name}' is {'true' if claimed_value else 'false'}"
 
 
-def otp_object(pad: BitString) -> PadObject:
-    """Adapter from a pad to the private-object view."""
-    return PadObject(pad)
-
-
 def demo_object() -> TableObject:
     """A small fictional creature with eight independent yes/no features."""
     return TableObject(

@@ -2,8 +2,10 @@
 
 A message of length ``n`` can be protected by a pad whose *transmitted*
 length is shorter than ``n`` without giving an eavesdropper anything: the
-pad's length itself is secret side information.  Before use, both parties
-deterministically complete the transmitted pad to ``n`` bits.
+pad's length itself is secret side information.  A transmitted pad is a
+plain :class:`~otplab.bitstring.BitString`, so that secret is simply its bit
+count.  Before use, both parties deterministically complete the transmitted
+pad to ``n`` bits.
 
 Construction, for a reduction bound ``k`` (valid while ``n >= k + 2**(k-1)``):
 
@@ -60,29 +62,6 @@ class ReductionParams:
             )
 
 
-@dataclass(frozen=True)
-class ReservedPattern:
-    """Tail pattern forced onto pads that were transmitted ``index`` bits short."""
-
-    index: int
-    pattern: BitString
-
-
-@dataclass(frozen=True)
-class GeneratedPad:
-    """A transmitted pad plus its (secret) original length."""
-
-    bits: BitString
-    original_length: int
-
-    def __post_init__(self) -> None:
-        if self.bits.length != self.original_length:
-            raise ValueError(
-                f"pad has {self.bits.length} bits but claims length "
-                f"{self.original_length}"
-            )
-
-
 def max_k(n: int) -> int:
     """Largest usable reduction bound for an n-bit message; 0 if none."""
     if n < 1:
@@ -100,12 +79,12 @@ def expected_reduction(k: int) -> Fraction:
     return Fraction(k * (k + 1), 1 << (k + 1))
 
 
-def reserved_pattern(params: ReductionParams, i: int) -> ReservedPattern:
-    """The tail forced onto a pad transmitted ``i`` bits short (1 <= i <= k)."""
+def reserved_pattern(params: ReductionParams, i: int) -> BitString:
+    """The k-bit tail forced onto a pad transmitted ``i`` bits short
+    (1 <= i <= k)."""
     if not 1 <= i <= params.k:
         raise ValueError(f"pattern index {i} outside 1..{params.k}")
-    value = _reserved_value(params, i)
-    return ReservedPattern(index=i, pattern=BitString.from_int(value, params.k))
+    return BitString.from_int(_reserved_value(params, i), params.k)
 
 
 def _reserved_value(params: ReductionParams, i: int) -> int:
@@ -120,31 +99,20 @@ def allowed_tails(params: ReductionParams) -> Tuple[int, ...]:
     return tuple(v for v in range(1 << params.k) if v not in reserved)
 
 
-def _coin(params: ReductionParams, src: RandomSource) -> int:
+def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> BitString:
+    """Draw a transmitted pad under the length-reduction protocol; its
+    length is the secret transmitted length."""
     # One k-bit draw decides both the pad length and, for full-length pads,
     # which allowed tail is used; no rejection, constant draws per pad.
-    return src.bits(params.k).value
-
-
-def sample_pad_length(params: ReductionParams, src: RandomSource) -> int:
-    """Sample the transmitted length: ``n - i`` w.p. ``2**-k`` (i = 1..k),
-    else ``n``."""
-    t = _coin(params, src)
-    return params.n if t >= params.k else params.n - (t + 1)
-
-
-def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> GeneratedPad:
-    """Draw a transmitted pad under the length-reduction protocol."""
-    t = _coin(params, src)
+    t = src.bits(params.k).value
     if t < params.k:
-        length = params.n - (t + 1)
-        return GeneratedPad(bits=src.bits(length), original_length=length)
+        return src.bits(params.n - (t + 1))
     head = src.bits(params.n - params.k)
     tail = BitString.from_int(allowed_tails(params)[t - params.k], params.k)
-    return GeneratedPad(bits=head + tail, original_length=params.n)
+    return head + tail
 
 
-def effective_pad(gp: GeneratedPad, params: ReductionParams) -> BitString:
+def effective_pad(pad: BitString, params: ReductionParams) -> BitString:
     """Complete a transmitted pad to the full ``n`` bits used for XOR.
 
     Deterministic, so both endpoints compute identical results from their
@@ -152,33 +120,32 @@ def effective_pad(gp: GeneratedPad, params: ReductionParams) -> BitString:
     come from the sender, so it raises :class:`PadFormatError`.
     """
     n, k = params.n, params.k
-    length = gp.original_length
+    length = pad.length
     if not n - k <= length <= n:
         raise PadFormatError(
             f"pad length {length} incompatible with n={n}, k={k} "
             f"(expected {n - k}..{n})"
         )
     if length == n:
-        return gp.bits
-    i = n - length
-    return gp.bits[: n - k] + reserved_pattern(params, i).pattern
+        return pad
+    return pad[: n - k] + reserved_pattern(params, n - length)
 
 
 def encrypt_reduced(
-    message: BitString, gp: GeneratedPad, params: ReductionParams
+    message: BitString, pad: BitString, params: ReductionParams
 ) -> BitString:
     """XOR the message with the completed pad."""
     if message.length != params.n:
         raise ValueError(f"message is {message.length} bits, expected {params.n}")
-    return xor(message, effective_pad(gp, params))
+    return xor(message, effective_pad(pad, params))
 
 
 def decrypt_reduced(
-    ciphertext: BitString, gp: GeneratedPad, params: ReductionParams
+    ciphertext: BitString, pad: BitString, params: ReductionParams
 ) -> BitString:
     """Inverse of :func:`encrypt_reduced` (XOR with the same completed pad)."""
     if ciphertext.length != params.n:
         raise ValueError(
             f"ciphertext is {ciphertext.length} bits, expected {params.n}"
         )
-    return xor(ciphertext, effective_pad(gp, params))
+    return xor(ciphertext, effective_pad(pad, params))

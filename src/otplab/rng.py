@@ -26,9 +26,7 @@ forbidden.  Parallel work derives independent child seeds instead, see
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 from .bitstring import BitString
 
@@ -108,25 +106,3 @@ class RandomSource:
             v = self.bits(nbits).value
             if v < n:
                 return v
-
-    def choice_rational(self, weights: Sequence[Union[Fraction, int]]) -> int:
-        """Sample an index with exact rational weights (no float rounding).
-
-        Weights must be nonnegative and sum to a positive value; they are
-        normalized internally.
-        """
-        fracs = [Fraction(w) for w in weights]
-        if any(w < 0 for w in fracs):
-            raise ValueError("weights must be nonnegative")
-        total = sum(fracs)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        denom = math.lcm(*(w.denominator for w in fracs))
-        scaled = [int(w * denom) for w in fracs]
-        r = self.randbelow(sum(scaled))
-        acc = 0
-        for i, s in enumerate(scaled):
-            acc += s
-            if r < acc:
-                return i
-        raise AssertionError("unreachable")

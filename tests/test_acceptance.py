@@ -27,9 +27,8 @@ from otplab.facts import (
     parse_pq,
 )
 from otplab.otp import Pad, decrypt, encrypt
-from otplab.private_object import encode_statements, otp_object, verify_statements
+from otplab.private_object import PadObject, encode_statements, verify_statements
 from otplab.reduction import (
-    GeneratedPad,
     ReductionParams,
     allowed_tails,
     generate_reduced_pad,
@@ -37,6 +36,8 @@ from otplab.reduction import (
     reserved_pattern,
 )
 from otplab.rng import RandomSource
+
+from conftest import reserved_tail_mutant
 
 SEED = 2024
 
@@ -92,17 +93,8 @@ def test_criterion_3_exact_perfect_secrecy():
             ok &= report.passed and report.deviation == 0
             checked += 1
     ok &= checked == 4  # (2,1) (3,1) (4,1) (4,2)
-
-    def mutated(params, src):
-        gp = generate_reduced_pad(params, src)
-        if gp.original_length == params.n:
-            bad = reserved_pattern(params, 1).pattern
-            return GeneratedPad(bits=gp.bits[: params.n - params.k] + bad,
-                                original_length=params.n)
-        return gp
-
     ok &= not exhaustive_secrecy_check(ReductionParams(3, 1),
-                                       generator=mutated).passed
+                                       generator=reserved_tail_mutant).passed
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _report(3, "exact perfect secrecy + mutation sanity", ok, elapsed)
@@ -144,22 +136,21 @@ def test_criterion_5_structural_invariants():
     for n in range(2, 1025):
         for k in range(1, max_k(n) + 1):
             params = ReductionParams(n, k)
-            values = {reserved_pattern(params, i).pattern.value
+            values = {reserved_pattern(params, i).value
                       for i in range(1, k + 1)}
             ok &= len(values) == k
     # k = 1 reproduces the parity rules bit for bit.
     for n in range(2, 257):
         params = ReductionParams(n, 1)
         parity = (n - 1) & 1
-        ok &= reserved_pattern(params, 1).pattern.value == parity
+        ok &= reserved_pattern(params, 1).value == parity
         ok &= allowed_tails(params) == (1 - parity,)
     # Generated pads never exceed the message length.
     for seed in range(100):
         src = RandomSource(seed)
         for n, k in [(10, 1), (10, 3), (12, 4), (38, 6)]:
-            gp = generate_reduced_pad(ReductionParams(n, k), src)
-            ok &= n - k <= gp.original_length <= n
-            ok &= len(gp.bits) == gp.original_length
+            pad = generate_reduced_pad(ReductionParams(n, k), src)
+            ok &= n - k <= len(pad) <= n
     elapsed = time.perf_counter() - start
     _report(5, "pattern distinctness, parity equivalence, no expansion",
             ok, elapsed)
@@ -174,13 +165,13 @@ def test_criterion_6_private_object_equivalence():
         n = 1 + src.randbelow(32)
         m = src.bits(n)
         pad = src.bits(n)
-        stmts = encode_statements(m, otp_object(pad))
+        stmts = encode_statements(m, PadObject(pad))
         claimed = BitString(s.claimed_value for s in stmts)
         ok &= claimed == xor(m, pad)
-        ok &= verify_statements(stmts, otp_object(pad)) == m
+        ok &= verify_statements(stmts, PadObject(pad)) == m
     # Worked statements: bits 1, 2 and 10 of the classical ciphertext.
     stmts = encode_statements(BitString("0010110101"),
-                              otp_object(BitString("1011001001")))
+                              PadObject(BitString("1011001001")))
     cipher = BitString("1001111100")
     ok &= stmts[0].claimed_value == cipher[0] == 1
     ok &= stmts[1].claimed_value == cipher[1] == 0

@@ -11,35 +11,20 @@ from otplab.analysis import (
 )
 from otplab.bitstring import BitString
 from otplab.reduction import (
-    GeneratedPad,
     ReductionParams,
     effective_pad,
     generate_reduced_pad,
     max_k,
-    reserved_pattern,
 )
 
-
-def mutated_generator(params, src):
-    """Protocol with the full-length tail rule deliberately mis-set: the
-    forced tail collides with the first reserved pattern."""
-    gp = generate_reduced_pad(params, src)
-    if gp.original_length == params.n:
-        bad = reserved_pattern(params, 1).pattern
-        return GeneratedPad(
-            bits=gp.bits[: params.n - params.k] + bad,
-            original_length=params.n,
-        )
-    return gp
+from conftest import reserved_tail_mutant
 
 
 def biased_generator(params, src):
     """Pad generator with no randomness at all; trivially distinguishable."""
     src.bits(params.k)
     src.bits(params.n - params.k)
-    return GeneratedPad(
-        bits=BitString.zeros(params.n), original_length=params.n
-    )
+    return BitString.zeros(params.n)
 
 
 # --- exact mode -----------------------------------------------------------
@@ -101,7 +86,7 @@ def test_exact_tail_marginal_at_protocol_scale():
 
 def test_mutated_protocol_fails_exact_check():
     report = exhaustive_secrecy_check(ReductionParams(3, 1),
-                                      generator=mutated_generator)
+                                      generator=reserved_tail_mutant)
     assert not report.passed
     assert report.deviation > 0
 

@@ -1,10 +1,13 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
+from otplab.analysis import TrialConfig, distinguisher_test
 from otplab.bitstring import BitString, bits_from_text
 from otplab.cli import main
 from otplab.padfile import read_pad, write_pad
+from otplab.reduction import ReductionParams, generate_reduced_pad
 from otplab.rng import RandomSource
 
 
@@ -109,6 +112,19 @@ def test_pad_compress_and_decompress(capsys, tmp_path):
     assert read_pad(back) == BitString("1011001000")
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_pad_decompress_non_positive_length_is_exit_2(capsys, tmp_path, length):
+    small = tmp_path / "small.otpd"
+    back = tmp_path / "back.otpd"
+    write_pad(small, BitString("10110100"))
+    code, out, err = run(capsys, "pad-decompress", "--in", str(small),
+                         "--out", str(back), "--message-length", length)
+    assert code == 2
+    assert out == ""
+    assert f"message length must be >= 1, got {length}" in err
+    assert not back.exists()
+
+
 def test_pad_compress_all_zeros_is_identity(capsys, tmp_path):
     full = tmp_path / "zeros.otpd"
     out = tmp_path / "zeros2.otpd"
@@ -172,6 +188,39 @@ def test_facts_encode_output_is_pinned(capsys):
     assert out.count("\n") == 2048
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d0f6003c4b660e734bd99de8b6d578db962b3d9ae8cc6f32a20a32515b077ee4")
+
+
+def test_reduced_pad_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    # Digest taken before the transmitted pad became a plain BitString: the
+    # reduce-keygen pad bytes and stdout and the encrypt --reduced stdout over
+    # a seed x (n, k) grid, then the library-path distinguisher histograms.
+    # Relative pad paths keep the stdout lines free of the temporary directory.
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    lengths = set()
+    for n, k in [(10, 1), (10, 2), (12, 3), (12, 4)]:
+        message = RandomSource(n * 100 + k).bits(n).to01()
+        for seed in range(40):
+            pad = Path(f"p{n}_{k}_{seed}.otpd")
+            code, out, _ = run(capsys, "reduce-keygen", "--message-bits",
+                               str(n), "--k", str(k), "--seed", str(seed),
+                               "--out", str(pad))
+            assert code == 0
+            lengths.add(n - read_pad(pad).length)
+            digest.update(pad.read_bytes() + out.encode())
+            code, out, _ = run(capsys, "encrypt", "--pad", str(pad), "--in",
+                               message, "--reduced", "--message-bits", str(n),
+                               "--k", str(k))
+            assert code == 0
+            digest.update(out.encode())
+    assert lengths == {0, 1, 2, 3, 4}  # full-length and every short length
+    for n, k in [(8, 1), (12, 3)]:
+        cfg = TrialConfig(params=ReductionParams(n, k), trials=2000, seed=n + k,
+                          m0=BitString.zeros(n), m1=BitString.ones(n))
+        report = distinguisher_test(cfg, generator=generate_reduced_pad)
+        digest.update(repr(report.counts).encode())
+    assert digest.hexdigest() == (
+        "2bdf8f802bd97d1e30c387b62bd88901ebd32208f3554d656c0e3a8a170ba89b")
 
 
 def test_facts_decode_rejects_garbage(capsys, tmp_path):

@@ -8,7 +8,6 @@ from otplab.reduction import (
     ReductionParams,
     effective_pad,
     generate_reduced_pad,
-    sample_pad_length,
 )
 from otplab.rng import RandomSource, derive_child_seed
 
@@ -30,7 +29,7 @@ class TestAgainstLibraryPath:
         expected = [0] * (k + 1)
         for t in range(trials):
             src = RandomSource(derive_child_seed(seed, t))
-            expected[n - sample_pad_length(params, src)] += 1
+            expected[n - len(generate_reduced_pad(params, src))] += 1
         assert _kernels.reduction_length_counts(n, k, seed, trials) == expected
 
     @grid
@@ -41,8 +40,8 @@ class TestAgainstLibraryPath:
         for t in range(trials):
             src = RandomSource(derive_child_seed(seed, t))
             message = src.bits(n)
-            gp = generate_reduced_pad(params, src)
-            xor(message, effective_pad(gp, params))  # observed by Eve, unused
+            pad = generate_reduced_pad(params, src)
+            xor(message, effective_pad(pad, params))  # observed by Eve, unused
             guess = src.bits(k)
             tail = message[n - k:]
             correct += sum(1 for g, m in zip(guess, tail) if g == m)

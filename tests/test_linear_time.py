@@ -9,7 +9,7 @@ percent between the two timings.
 import time
 
 from otplab.bitstring import BitString
-from otplab.private_object import Statement, otp_object, verify_statements
+from otplab.private_object import PadObject, Statement, verify_statements
 from otplab.rng import RandomSource
 
 N = 100_000
@@ -43,8 +43,8 @@ def test_statement_verify_scales_linearly():
     n = N // 2
     pad = RandomSource(4).bits(8 * n)
     stmts = [Statement(j, c) for j, c in enumerate(pad, start=1)]
-    small = (stmts[:n], otp_object(pad[:n]))
-    large = (stmts, otp_object(pad))
+    small = (stmts[:n], PadObject(pad[:n]))
+    large = (stmts, PadObject(pad))
     assert verify_statements(*small) == BitString.zeros(n)
 
     def verify(case):

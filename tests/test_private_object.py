@@ -4,12 +4,12 @@ from hypothesis import given, strategies as st
 from otplab.bitstring import BitString, xor
 from otplab.otp import Pad, encrypt
 from otplab.private_object import (
+    PadObject,
     Statement,
     StatementParseError,
     TableObject,
     demo_object,
     encode_statements,
-    otp_object,
     statement_from_line,
     statement_to_line,
     verify_statements,
@@ -23,7 +23,7 @@ MSG = BitString("0010110101")
 
 
 def test_pad_object_features_are_pad_bits():
-    obj = otp_object(PAD)
+    obj = PadObject(PAD)
     assert obj.entropy_bits == 10
     assert obj.feature(1) == 1
     assert obj.feature(3) == 1
@@ -36,13 +36,13 @@ def test_pad_object_features_are_pad_bits():
         obj.feature(11)
 
 
-def test_otp_object_rejects_empty_pad():
+def test_pad_object_rejects_empty_pad():
     with pytest.raises(ValueError):
-        otp_object(BitString(""))
+        PadObject(BitString(""))
 
 
 def test_worked_example_claimed_values():
-    stmts = encode_statements(MSG, otp_object(PAD))
+    stmts = encode_statements(MSG, PadObject(PAD))
     claimed = BitString(s.claimed_value for s in stmts)
     assert claimed == BitString("1001111100")
     # The first two statements are true (message bits 0), the tenth is false.
@@ -53,38 +53,38 @@ def test_worked_example_claimed_values():
 
 
 def test_statement_truth_against_pad():
-    obj = otp_object(PAD)
+    obj = PadObject(PAD)
     assert Statement(1, 1).is_true_of(obj)
     assert not Statement(10, 0).is_true_of(obj)
 
 
 def test_all_zero_message_makes_true_statements():
-    obj = otp_object(PAD)
+    obj = PadObject(PAD)
     stmts = encode_statements(BitString.zeros(10), obj)
     assert all(s.is_true_of(obj) for s in stmts)
     assert BitString(s.claimed_value for s in stmts) == PAD
 
 
 def test_verify_examples():
-    obj = otp_object(PAD)
+    obj = PadObject(PAD)
     assert verify_statements([Statement(1, 1)], obj) == BitString("0")
     assert verify_statements([Statement(10, 0)], obj) == BitString("1")
 
 
 def test_each_bit_uses_its_own_feature():
-    stmts = encode_statements(MSG, otp_object(PAD))
+    stmts = encode_statements(MSG, PadObject(PAD))
     assert [s.feature_index for s in stmts] == list(range(1, 11))
 
 
 def test_message_longer_than_entropy_rejected():
     with pytest.raises(ValueError):
-        encode_statements(BitString.zeros(11), otp_object(PAD))
+        encode_statements(BitString.zeros(11), PadObject(PAD))
 
 
 @given(equal_length_pairs(min_len=1, max_len=64))
 def test_claimed_values_equal_xor_ciphertext(pair):
     m, pad = pair
-    stmts = encode_statements(m, otp_object(pad))
+    stmts = encode_statements(m, PadObject(pad))
     claimed = BitString(s.claimed_value for s in stmts)
     assert claimed == xor(m, pad)
     assert claimed == encrypt(m, Pad(pad))
@@ -95,7 +95,7 @@ def test_round_trip(pair):
     m, pad = pair
     if len(pad) == 0:
         return
-    obj = otp_object(pad)
+    obj = PadObject(pad)
     assert verify_statements(encode_statements(m, obj), obj) == m
 
 
@@ -140,7 +140,7 @@ def test_wire_form_errors():
 @st.composite
 def objects_and_messages(draw):
     if draw(st.booleans()):
-        obj = otp_object(draw(bitstrings(min_len=1, max_len=96)))
+        obj = PadObject(draw(bitstrings(min_len=1, max_len=96)))
     else:
         values = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
         obj = TableObject([(f"feature {i}", v) for i, v in enumerate(values)])
@@ -161,7 +161,7 @@ def test_encode_is_one_xor_with_the_features(case):
     assert verify_statements(stmts, obj) == m
 
 
-@pytest.mark.parametrize("obj", [otp_object(PAD), demo_object()])
+@pytest.mark.parametrize("obj", [PadObject(PAD), demo_object()])
 def test_features_bounds(obj):
     assert obj.features(0) == BitString("")
     assert obj.features(obj.entropy_bits).length == obj.entropy_bits
@@ -171,14 +171,14 @@ def test_features_bounds(obj):
 
 
 def test_verify_rejects_statement_past_pad_end():
-    obj = otp_object(PAD)
+    obj = PadObject(PAD)
     for index in (0, 11):
         with pytest.raises(StatementParseError, match=f"feature index {index}"):
             verify_statements([Statement(1, 1), Statement(index, 0)], obj)
 
 
 def test_verify_keeps_statement_order():
-    obj = otp_object(PAD)
+    obj = PadObject(PAD)
     stmts = encode_statements(MSG, obj)
     assert verify_statements(stmts[::-1], obj) == BitString(MSG.to01()[::-1])
     assert verify_statements(stmts[3:6], obj) == MSG[3:6]
@@ -188,7 +188,7 @@ def test_verify_keeps_statement_order():
 def test_wire_form_survives_random_messages():
     src = RandomSource(17)
     pad = src.bits(32)
-    obj = otp_object(pad)
+    obj = PadObject(pad)
     m = src.bits(32)
     lines = [statement_to_line(s) for s in encode_statements(m, obj)]
     revived = [statement_from_line(line) for line in lines]

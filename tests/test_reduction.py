@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from otplab.bitstring import BitString
 from otplab.reduction import (
-    GeneratedPad,
     ReductionParams,
     allowed_tails,
     decrypt_reduced,
@@ -16,7 +15,6 @@ from otplab.reduction import (
     generate_reduced_pad,
     max_k,
     reserved_pattern,
-    sample_pad_length,
 )
 from otplab.rng import RandomSource
 
@@ -61,10 +59,10 @@ def test_params_validation():
 
 def test_reserved_pattern_examples():
     p = ReductionParams(10, 2)
-    assert reserved_pattern(p, 1).pattern == BitString("01")  # 9 = ...1001
-    assert reserved_pattern(p, 2).pattern == BitString("00")  # 8 = ...1000
+    assert reserved_pattern(p, 1) == BitString("01")  # 9 = ...1001
+    assert reserved_pattern(p, 2) == BitString("00")  # 8 = ...1000
     p1 = ReductionParams(10, 1)
-    assert reserved_pattern(p1, 1).pattern == BitString("1")  # 9 is odd
+    assert reserved_pattern(p1, 1) == BitString("1")  # 9 is odd
     with pytest.raises(ValueError):
         reserved_pattern(p, 3)
     with pytest.raises(ValueError):
@@ -75,7 +73,7 @@ def test_reserved_patterns_pairwise_distinct_up_to_1024():
     for n in range(2, 1025):
         for k in range(1, max_k(n) + 1):
             params = ReductionParams(n, k)
-            patterns = [reserved_pattern(params, i).pattern for i in range(1, k + 1)]
+            patterns = [reserved_pattern(params, i) for i in range(1, k + 1)]
             assert len(set(patterns)) == k
 
 
@@ -85,35 +83,30 @@ def test_single_bit_path_is_the_parity_rule():
     for n in range(2, 257):
         params = ReductionParams(n, 1)
         parity = (n - 1) & 1
-        assert reserved_pattern(params, 1).pattern == BitString.from_int(parity, 1)
+        assert reserved_pattern(params, 1) == BitString.from_int(parity, 1)
         assert allowed_tails(params) == (1 - parity,)
 
 
 def test_allowed_tails_complement_reserved():
     for n, k in [(10, 1), (10, 2), (10, 3), (12, 4), (38, 6)]:
         params = ReductionParams(n, k)
-        reserved = {reserved_pattern(params, i).pattern.value for i in range(1, k + 1)}
+        reserved = {reserved_pattern(params, i).value for i in range(1, k + 1)}
         tails = allowed_tails(params)
         assert len(tails) == (1 << k) - k
         assert set(tails) | reserved == set(range(1 << k))
         assert list(tails) == sorted(tails)
 
 
-def test_sample_pad_length_weights():
+def test_transmitted_length_weights():
     params = ReductionParams(10, 2)
     trials = 100_000
     counts = {10: 0, 9: 0, 8: 0}
     src = RandomSource(2024)
     for _ in range(trials):
-        counts[sample_pad_length(params, src)] += 1
+        counts[len(generate_reduced_pad(params, src))] += 1
     assert abs(counts[10] / trials - 0.5) < 0.01
     assert abs(counts[9] / trials - 0.25) < 0.01
     assert abs(counts[8] / trials - 0.25) < 0.01
-
-
-def test_generated_pad_validation():
-    with pytest.raises(ValueError):
-        GeneratedPad(bits=BitString("101"), original_length=4)
 
 
 def test_generate_lengths_within_bounds_and_never_expand():
@@ -121,9 +114,7 @@ def test_generate_lengths_within_bounds_and_never_expand():
         src = RandomSource(seed)
         for n, k in [(10, 1), (10, 2), (10, 3), (12, 4)]:
             params = ReductionParams(n, k)
-            gp = generate_reduced_pad(params, src)
-            assert n - k <= gp.original_length <= n
-            assert len(gp.bits) == gp.original_length
+            assert n - k <= len(generate_reduced_pad(params, src)) <= n
 
 
 def test_full_length_pads_avoid_reserved_tails():
@@ -132,10 +123,10 @@ def test_full_length_pads_avoid_reserved_tails():
     mask = (1 << 2) - 1
     seen_full = 0
     for _ in range(10_000):
-        gp = generate_reduced_pad(params, src)
-        if gp.original_length == 10:
+        pad = generate_reduced_pad(params, src)
+        if pad.length == 10:
             seen_full += 1
-            tail = gp.bits.value & mask
+            tail = pad.value & mask
             assert tail not in (0b01, 0b00)  # the reserved patterns for n=10
     assert seen_full > 4000
 
@@ -145,56 +136,55 @@ def test_full_length_single_bit_pads_end_in_complement():
     params = ReductionParams(10, 1)
     src = RandomSource(13)
     for _ in range(2000):
-        gp = generate_reduced_pad(params, src)
-        if gp.original_length == 10:
-            assert gp.bits[-1] == 0
+        pad = generate_reduced_pad(params, src)
+        if pad.length == 10:
+            assert pad[-1] == 0
 
 
 def test_effective_pad_examples():
-    short = GeneratedPad(bits=BitString("101100100"), original_length=9)
+    short = BitString("101100100")
     assert effective_pad(short, ReductionParams(10, 1)) == BitString("1011001001")
     assert effective_pad(short, ReductionParams(10, 2)) == BitString("1011001001")
-    full = GeneratedPad(bits=BitString("1011001010"), original_length=10)
+    full = BitString("1011001010")
     assert effective_pad(full, ReductionParams(10, 2)) == BitString("1011001010")
 
 
 def test_effective_pad_rejects_inconsistent_lengths():
-    gp = GeneratedPad(bits=BitString("10110"), original_length=5)
-    with pytest.raises(ValueError):
-        effective_pad(gp, ReductionParams(10, 2))  # 5 outside 8..10
+    with pytest.raises(ValueError):  # 5 bits, outside 8..10
+        effective_pad(BitString("10110"), ReductionParams(10, 2))
 
 
 def test_effective_pad_is_deterministic():
     params = ReductionParams(12, 3)
-    gp = generate_reduced_pad(params, RandomSource(3))
-    assert effective_pad(gp, params) == effective_pad(gp, params)
+    pad = generate_reduced_pad(params, RandomSource(3))
+    assert effective_pad(pad, params) == effective_pad(pad, params)
 
 
 def test_worked_example_through_the_reduced_path():
     # The 9-bit pad completes to the classical worked example's pad, so the
     # ciphertext matches the classical one bit for bit.
     params = ReductionParams(10, 1)
-    gp = GeneratedPad(bits=BitString("101100100"), original_length=9)
+    pad = BitString("101100100")
     m = BitString("0010110101")
-    c = encrypt_reduced(m, gp, params)
+    c = encrypt_reduced(m, pad, params)
     assert c == BitString("1001111100")
-    assert decrypt_reduced(c, gp, params) == m
+    assert decrypt_reduced(c, pad, params) == m
 
 
 def test_zero_message_exposes_effective_pad():
     params = ReductionParams(10, 2)
-    gp = generate_reduced_pad(params, RandomSource(4))
-    c = encrypt_reduced(BitString.zeros(10), gp, params)
-    assert c == effective_pad(gp, params)
+    pad = generate_reduced_pad(params, RandomSource(4))
+    c = encrypt_reduced(BitString.zeros(10), pad, params)
+    assert c == effective_pad(pad, params)
 
 
 def test_encrypt_reduced_length_check():
     params = ReductionParams(10, 2)
-    gp = generate_reduced_pad(params, RandomSource(4))
+    pad = generate_reduced_pad(params, RandomSource(4))
     with pytest.raises(ValueError):
-        encrypt_reduced(BitString.zeros(9), gp, params)
+        encrypt_reduced(BitString.zeros(9), pad, params)
     with pytest.raises(ValueError):
-        decrypt_reduced(BitString.zeros(11), gp, params)
+        decrypt_reduced(BitString.zeros(11), pad, params)
 
 
 @settings(max_examples=200)
@@ -207,16 +197,16 @@ def test_round_trip_property(mv, seed, nk):
     n, k = nk
     params = ReductionParams(n, k)
     m = BitString.from_int(mv, n)
-    gp = generate_reduced_pad(params, RandomSource(seed))
-    assert decrypt_reduced(encrypt_reduced(m, gp, params), gp, params) == m
+    pad = generate_reduced_pad(params, RandomSource(seed))
+    assert decrypt_reduced(encrypt_reduced(m, pad, params), pad, params) == m
 
 
 def test_transmitted_pad_survives_the_wire_format():
     from otplab.padfile import deserialize_pad, serialize_pad
 
     params = ReductionParams(10, 2)
-    gp = generate_reduced_pad(params, RandomSource(21))
-    revived = deserialize_pad(serialize_pad(gp.bits))
-    # The stored bit count carries the original length.
-    assert revived == gp.bits
-    assert GeneratedPad(bits=revived, original_length=revived.length) == gp
+    pad = generate_reduced_pad(params, RandomSource(21))
+    revived = deserialize_pad(serialize_pad(pad))
+    # The stored bit count carries the secret transmitted length, and
+    # BitString equality includes the length.
+    assert revived == pad

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from otplab.bitstring import BitString
@@ -97,25 +95,6 @@ def test_randbelow_exact_and_in_range():
     assert RandomSource(0).randbelow(1) == 0
     with pytest.raises(ValueError):
         src.randbelow(0)
-
-
-def test_choice_rational_exercises_all_weights():
-    src = RandomSource(3)
-    weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
-    counts = [0, 0, 0]
-    for _ in range(8000):
-        counts[src.choice_rational(weights)] += 1
-    assert all(c > 0 for c in counts)
-    assert abs(counts[0] / 8000 - 0.5) < 0.05
-    assert abs(counts[1] / 8000 - 0.25) < 0.05
-
-
-def test_choice_rational_rejects_bad_weights():
-    src = RandomSource(3)
-    with pytest.raises(ValueError):
-        src.choice_rational([Fraction(-1, 2), Fraction(3, 2)])
-    with pytest.raises(ValueError):
-        src.choice_rational([0, 0])
 
 
 def test_derive_child_seed_is_the_documented_formula():
