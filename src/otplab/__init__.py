@@ -40,13 +40,11 @@ from .private_object import (
 from .facts import (
     ParseError,
     PqString,
-    Verdict,
     decode_string,
     derive_oracle,
     encode_bit,
     is_theorem,
     parse_pq,
-    verdict,
 )
 from .analysis import (
     ReductionStats,
@@ -98,9 +96,7 @@ __all__ = [
     "verify_statements",
     "ParseError",
     "PqString",
-    "Verdict",
     "parse_pq",
-    "verdict",
     "is_theorem",
     "derive_oracle",
     "encode_bit",

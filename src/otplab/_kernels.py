@@ -17,6 +17,10 @@ Shared trial contract (one independent child stream per trial index):
 * reduction trial: 1 word  -> k-bit length coin
 * eve trial:       4 words -> message, pad coin, pad bits, Eve's guess
 * distinguisher:   4 words -> two pads (coin + bits each)
+
+The distinguisher completes a pad from one table: whatever the coin, the
+head is the first ``n - k`` bits of the pad word, and the coin alone picks
+the k-bit tail (``P_(coin+1)`` for a short pad, else an allowed tail).
 """
 
 from __future__ import annotations
@@ -50,22 +54,6 @@ def census_counts(n: int) -> List[int]:
     for v in range(1, 1 << n):
         counts[(v & -v).bit_length()] += 1
     return counts
-
-
-def _effective_pad(
-    n: int, k: int, tails: Tuple[int, ...], reserved: List[int], state: int
-) -> Tuple[int, int]:
-    """Draw one transmitted pad (2 words) and complete it to n bits."""
-    w, state = splitmix64_next(state)
-    coin = w >> (64 - k)
-    w, state = splitmix64_next(state)
-    if coin < k:
-        i = coin + 1
-        transmitted = w >> (64 - (n - i))
-        head = transmitted >> (k - i)
-        return (head << k) | reserved[i - 1], state
-    head = w >> (64 - (n - k))
-    return (head << k) | tails[coin - k], state
 
 
 def reduction_length_counts(n: int, k: int, seed: int, trials: int) -> List[int]:
@@ -102,14 +90,21 @@ def distinguisher_counts(
 ) -> Tuple[List[int], List[int]]:
     """Ciphertext histograms for the two candidate messages."""
     params = _params(n, k)
-    tails = allowed_tails(params)
-    reserved = [reserved_pattern(params, i).value for i in range(1, k + 1)]
+    # Completed tail by coin: a permutation of the 2**k tails.
+    tail_of = [reserved_pattern(params, i).value for i in range(1, k + 1)]
+    tail_of += allowed_tails(params)
+    head_shift = 64 - (n - k)
+    coin_shift = 64 - k
     hist0 = [0] * (1 << n)
     hist1 = [0] * (1 << n)
     for t in range(trials):
         state = derive_child_seed(seed, t)
-        eff0, state = _effective_pad(n, k, tails, reserved, state)
-        eff1, state = _effective_pad(n, k, tails, reserved, state)
-        hist0[m0 ^ eff0] += 1
-        hist1[m1 ^ eff1] += 1
+        coin0, state = splitmix64_next(state)
+        bits0, state = splitmix64_next(state)
+        coin1, state = splitmix64_next(state)
+        bits1, state = splitmix64_next(state)
+        pad0 = ((bits0 >> head_shift) << k) | tail_of[coin0 >> coin_shift]
+        pad1 = ((bits1 >> head_shift) << k) | tail_of[coin1 >> coin_shift]
+        hist0[m0 ^ pad0] += 1
+        hist1[m1 ^ pad1] += 1
     return hist0, hist1

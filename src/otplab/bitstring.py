@@ -84,9 +84,6 @@ class BitString:
     def __len__(self) -> int:
         return self._length
 
-    def __bool__(self) -> bool:
-        return self._length > 0
-
     def __getitem__(self, index) -> Union[int, "BitString"]:
         if isinstance(index, slice):
             start, stop, step = index.indices(self._length)

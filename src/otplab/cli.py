@@ -19,15 +19,23 @@ from .facts import ParseError
 from .otp import Pad, decrypt, encrypt, keygen
 from .padfile import PadFormatError, read_pad, write_pad
 from .private_object import StatementParseError
-from .rng import RandomSource
+from .rng import MASK64, RandomSource
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _add_seed(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--seed", type=int, required=required, help="64-bit seed")
+def _seed(text: str) -> int:
+    value = int(text)  # argparse reports a non-integer itself
+    if not 0 <= value <= MASK64:
+        raise argparse.ArgumentTypeError(f"{value} outside 0..2**64-1")
+    return value
+
+
+def _add_seed(p: argparse.ArgumentParser, default: Optional[int] = None) -> None:
+    p.add_argument("--seed", type=_seed, required=default is None,
+                   default=default, help="64-bit seed, 0..2**64-1")
 
 
 def _message_args(p: argparse.ArgumentParser) -> None:
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=2024)
+    _add_seed(p, default=2024)
     p.add_argument("--m0", help="first candidate message (distinguish)")
     p.add_argument("--m1", help="second candidate message (distinguish)")
     p.set_defaults(func=_cmd_analyze)

@@ -18,6 +18,10 @@ procedure :func:`is_theorem` uses that arithmetic shortcut.  The
 independent check :func:`derive_oracle` knows nothing about it: it searches
 derivations mechanically from the axioms.
 
+The grammar is one regular expression.  :func:`encode_bit` unranks a
+uniform rank within the bit's class from the class's closed-form counts, in
+the order :func:`enumerate_wellformed` fixes.
+
 The system is decidable and consistent, which is precisely what makes the
 receiver's verdict computable; it is also utterly insecure, and nothing
 here claims otherwise.  It demonstrates the channel, not a cipher.
@@ -25,7 +29,8 @@ here claims otherwise.  It demonstrates the channel, not a cipher.
 
 from __future__ import annotations
 
-import enum
+import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -36,10 +41,8 @@ class ParseError(ValueError):
     """Input is not a well-formed string of the system."""
 
 
-class Verdict(enum.Enum):
-    THEOREM = "theorem"
-    NON_THEOREM = "non-theorem"
-    NOT_WELL_FORMED = "not-well-formed"
+# The whole grammar: three nonempty hyphen groups split by one 'p' and one 'q'.
+_PQ_GRAMMAR = re.compile(r"(-+)p(-+)q(-+)")
 
 
 @dataclass(frozen=True)
@@ -64,44 +67,10 @@ class PqString:
 
 def parse_pq(text: str) -> PqString:
     """Parse ``-..-p-..-q-..-``; anything else raises :class:`ParseError`."""
-    x = y = z = 0
-    seen_p = seen_q = False
-    for ch in text:
-        if ch == "-":
-            if seen_q:
-                z += 1
-            elif seen_p:
-                y += 1
-            else:
-                x += 1
-        elif ch == "p":
-            if seen_p or seen_q:
-                raise ParseError("exactly one 'p' allowed, before 'q'")
-            seen_p = True
-        elif ch == "q":
-            if seen_q:
-                raise ParseError("exactly one 'q' allowed")
-            if not seen_p:
-                raise ParseError("'q' before 'p'")
-            seen_q = True
-        else:
-            raise ParseError(f"character {ch!r} outside alphabet '-pq'")
-    if not seen_p:
-        raise ParseError("missing 'p'")
-    if not seen_q:
-        raise ParseError("missing 'q'")
-    if x < 1 or y < 1 or z < 1:
-        raise ParseError("every hyphen group must be nonempty")
-    return PqString(x, y, z)
-
-
-def verdict(text: str) -> Verdict:
-    """Classify arbitrary text; never raises."""
-    try:
-        ps = parse_pq(text)
-    except ParseError:
-        return Verdict.NOT_WELL_FORMED
-    return Verdict.THEOREM if is_theorem(ps) else Verdict.NON_THEOREM
+    match = _PQ_GRAMMAR.fullmatch(text)
+    if match is None:
+        raise ParseError("not of the form -..-p-..-q-..- (nonempty hyphen groups)")
+    return PqString(*map(len, match.groups()))
 
 
 def is_theorem(ps: PqString) -> bool:
@@ -154,45 +123,44 @@ def _count_theorems(budget: int) -> int:
     # Theorems have x + y = z, so total hyphens 2z; z ranges 2..budget//2
     # and each z admits z - 1 choices of x.
     top = budget // 2
-    return max(0, top * (top - 1) // 2)
-
-
-def _count_wellformed(budget: int) -> int:
-    # Compositions of s into 3 positive parts, summed over s <= budget.
-    if budget < 3:
-        return 0
-    return budget * (budget - 1) * (budget - 2) // 6
+    return top * (top - 1) // 2
 
 
 def _unrank_theorem(rank: int) -> PqString:
-    z = 2
-    while rank >= z - 1:
-        rank -= z - 1
-        z += 1
-    x = rank + 1
-    return PqString(x, z - x, z)
+    # Theorems ordered by z, then x: the z = u + 2 group holds u + 1 of them
+    # and starts at rank u * (u + 1) / 2.
+    u = (math.isqrt(8 * rank + 1) - 1) // 2
+    x = rank - u * (u + 1) // 2 + 1
+    return PqString(x, u + 2 - x, u + 2)
+
+
+def _count_nontheorems(budget: int) -> int:
+    # Compositions of s into 3 positive parts, summed over s <= budget, less
+    # the theorems among them.
+    return budget * (budget - 1) * (budget - 2) // 6 - _count_theorems(budget)
 
 
 def _unrank_nontheorem(rank: int, budget: int) -> PqString:
-    for total in range(3, budget + 1):
-        in_total = (total - 1) * (total - 2) // 2
-        if total % 2 == 0:
-            in_total -= total // 2 - 1
-        if rank >= in_total:
-            rank -= in_total
-            continue
-        for x in range(1, total - 1):
-            count_y = total - x - 1
-            theorem_y = total // 2 - x if total % 2 == 0 else 0
-            has_theorem = 1 <= theorem_y <= count_y
-            if rank >= count_y - has_theorem:
-                rank -= count_y - has_theorem
-                continue
-            y = rank + 1
-            if has_theorem and y >= theorem_y:
-                y += 1
+    # Non-theorems ordered by total hyphens, then x, then y.  The cumulative
+    # count grows like total**3 / 6, so a cube root lands near the total
+    # whose block holds the rank, and the loops settle it exactly.
+    total = max(3, int((6 * rank) ** (1 / 3)))
+    while _count_nontheorems(total - 1) > rank:
+        total -= 1
+    while _count_nontheorems(total) <= rank:
+        total += 1
+    if total > budget:
+        raise AssertionError("rank out of range")
+    rank -= _count_nontheorems(total - 1)
+    half = total // 2 if total % 2 == 0 else 0  # a theorem has y = half - x
+    for x in range(1, total - 1):
+        theorem_y = half - x
+        in_x = total - x - 1 - (theorem_y >= 1)
+        if rank < in_x:
+            y = rank + 1 + (1 <= theorem_y <= rank + 1)
             return PqString(x, y, total - x - y)
-    raise AssertionError("rank out of range")
+        rank -= in_x
+    raise AssertionError("unreachable: the total's block holds the rank")
 
 
 def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
@@ -212,7 +180,7 @@ def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
         total = _count_theorems(budget)
         ps = _unrank_theorem(src.randbelow(total))
     else:
-        total = _count_wellformed(budget) - _count_theorems(budget)
+        total = _count_nontheorems(budget)
         ps = _unrank_nontheorem(src.randbelow(total), budget)
     return ps.render()
 

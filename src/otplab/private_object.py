@@ -88,10 +88,6 @@ class PadObject(PrivateObject):
         self._pad = pad
 
     @property
-    def pad(self) -> BitString:
-        return self._pad
-
-    @property
     def entropy_bits(self) -> int:
         return self._pad.length
 

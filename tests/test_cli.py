@@ -309,6 +309,35 @@ def test_usage_error_is_exit_2(capsys):
     assert exc.value.code == 2
 
 
+SEED_COMMANDS = {
+    "keygen": ["keygen", "--bits", "64", "--out", "{tmp}/pad.otpd"],
+    "reduce-keygen": ["reduce-keygen", "--message-bits", "10", "--k", "2",
+                      "--out", "{tmp}/pad.otpd"],
+    "facts-encode": ["facts-encode", "--in", "01"],
+    "analyze eve": ["analyze", "eve", "--n", "4", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_seed_outside_64_bits_is_exit_2(capsys, tmp_path, command, seed):
+    argv = [a.format(tmp=tmp_path) for a in SEED_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", str(seed)])
+    assert exc.value.code == 2
+    assert "0..2**64-1" in capsys.readouterr().err
+    assert not (tmp_path / "pad.otpd").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("command", ["keygen", "analyze eve"])
+def test_seed_at_64_bit_ends_is_accepted(capsys, tmp_path, command, seed):
+    argv = [a.format(tmp=tmp_path) for a in SEED_COMMANDS[command]]
+    code, out, _ = run(capsys, *argv, "--seed", str(seed))
+    assert code == 0
+    assert out
+
+
 def test_bad_k_is_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "reduction", "--n", "10", "--k", "4",
                        "--trials", "10")

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from otplab.facts import (
     ParseError,
     PqString,
-    Verdict,
     decode_string,
     derive_oracle,
     encode_bit,
+    _count_nontheorems,
+    _count_theorems,
+    _unrank_nontheorem,
+    _unrank_theorem,
     enumerate_wellformed,
     is_theorem,
     parse_pq,
-    verdict,
 )
 from otplab.rng import RandomSource
 
@@ -34,7 +36,13 @@ def test_parse_examples():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_pq(bad)
-    assert verdict(bad) is Verdict.NOT_WELL_FORMED
+
+
+def test_parse_error_does_not_echo_input():
+    junk = "x" * 10_000
+    with pytest.raises(ParseError) as info:
+        parse_pq(junk)
+    assert len(str(info.value)) < 200
 
 
 def test_render_inverts_parse():
@@ -53,12 +61,6 @@ def test_is_theorem_examples():
     assert is_theorem(PqString(2, 3, 5))
     assert is_theorem(PqString(1, 1, 2))
     assert not is_theorem(PqString(1, 1, 3))
-
-
-def test_verdicts():
-    assert verdict("--p---q-----") is Verdict.THEOREM
-    assert verdict("-p-q---") is Verdict.NON_THEOREM
-    assert verdict("--junk--") is Verdict.NOT_WELL_FORMED
 
 
 def test_derivation_oracle_examples():
@@ -87,6 +89,18 @@ def test_decode_examples():
     assert decode_string("-p-q---") == 1
     with pytest.raises(ParseError):
         decode_string("--pp--q-")
+
+
+@pytest.mark.parametrize("size_bound", range(6, 33))
+def test_unranking_follows_enumeration_order(size_bound):
+    budget = size_bound - 2
+    strings = list(enumerate_wellformed(size_bound))
+    theorems = [ps for ps in strings if is_theorem(ps)]
+    nons = [ps for ps in strings if not is_theorem(ps)]
+    assert len(theorems) == _count_theorems(budget)
+    assert len(nons) == _count_nontheorems(budget)
+    assert [_unrank_theorem(r) for r in range(len(theorems))] == theorems
+    assert [_unrank_nontheorem(r, budget) for r in range(len(nons))] == nons
 
 
 def test_encode_validity_and_size_bound():
@@ -148,3 +162,8 @@ def test_parser_total_on_arbitrary_text(text):
     except ParseError:
         return
     assert ps.render() == text
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))
+def test_parser_accepts_every_rendering(x, y, z):
+    assert parse_pq(PqString(x, y, z).render()) == PqString(x, y, z)
