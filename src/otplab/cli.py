@@ -97,10 +97,7 @@ def _cmd_pad_decompress(args) -> int:
 def _cmd_po_encode(args) -> int:
     message = _message_bits(args)
     obj = private_object.PadObject(read_pad(args.pad))
-    statements = private_object.encode_statements(message, obj)
-    sys.stdout.write("".join(
-        private_object.statement_to_line(stmt) + "\n" for stmt in statements
-    ))
+    sys.stdout.write(private_object.encode_lines(message, obj))
     return EXIT_OK
 
 
@@ -113,11 +110,8 @@ def _read_lines(path: Optional[str]) -> List[str]:
 
 def _cmd_po_decode(args) -> int:
     obj = private_object.PadObject(read_pad(args.pad))
-    statements = [
-        private_object.statement_from_line(line)
-        for line in _read_lines(getattr(args, "in"))
-    ]
-    print(private_object.verify_statements(statements, obj).to01())
+    lines = _read_lines(getattr(args, "in"))
+    print(private_object.decode_lines(lines, obj).to01())
     return EXIT_OK
 
 
@@ -237,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encode bits as strings of the formal system")
     _message_args(p)
     _add_seed(p)
-    p.add_argument("--size-bound", type=int, default=24)
+    p.add_argument("--size-bound", type=int, default=24,
+                   help=f"longest string, 6..{facts.MAX_SIZE_BOUND}")
     p.set_defaults(func=_cmd_facts_encode)
 
     p = sub.add_parser("facts-decode",

@@ -19,8 +19,13 @@ independent check :func:`derive_oracle` knows nothing about it: it searches
 derivations mechanically from the axioms.
 
 The grammar is one regular expression.  :func:`encode_bit` unranks a
-uniform rank within the bit's class from the class's closed-form counts, in
-the order :func:`enumerate_wellformed` fixes.
+uniform rank within the bit's class in closed form, in the order
+:func:`enumerate_wellformed` fixes: a lookup in the cumulative counts per
+hyphen total, then the root of a quadratic for ``x``.  The size bound is
+capped at :data:`MAX_SIZE_BOUND`, so that every string fits on one text
+line.  :func:`encode_bit` and :func:`decode_string` work on the group sizes
+directly and build no :class:`PqString`; :func:`parse_pq` and
+``PqString.render`` share their matcher and renderer.
 
 The system is decidable and consistent, which is precisely what makes the
 receiver's verdict computable; it is also utterly insecure, and nothing
@@ -31,8 +36,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
+from typing import Tuple
 
 from .rng import RandomSource
 
@@ -43,6 +51,23 @@ class ParseError(ValueError):
 
 # The whole grammar: three nonempty hyphen groups split by one 'p' and one 'q'.
 _PQ_GRAMMAR = re.compile(r"(-+)p(-+)q(-+)")
+
+# The largest size bound encode_bit takes: a POSIX text line holds at most
+# LINE_MAX = 2048 bytes, newline included, so every string fits on a line.
+MAX_SIZE_BOUND = 2047
+
+
+def _render(x: int, y: int, z: int) -> str:
+    return "-" * x + "p" + "-" * y + "q" + "-" * z
+
+
+def _groups(text: str) -> Tuple[int, int, int]:
+    # The hyphen group sizes of a well-formed string.
+    match = _PQ_GRAMMAR.fullmatch(text)
+    if match is None:
+        raise ParseError("not of the form -..-p-..-q-..- (nonempty hyphen groups)")
+    x, y, z = map(len, match.groups())
+    return x, y, z
 
 
 @dataclass(frozen=True)
@@ -62,15 +87,12 @@ class PqString:
         return self.x + self.y + self.z + 2
 
     def render(self) -> str:
-        return "-" * self.x + "p" + "-" * self.y + "q" + "-" * self.z
+        return _render(self.x, self.y, self.z)
 
 
 def parse_pq(text: str) -> PqString:
     """Parse ``-..-p-..-q-..-``; anything else raises :class:`ParseError`."""
-    match = _PQ_GRAMMAR.fullmatch(text)
-    if match is None:
-        raise ParseError("not of the form -..-p-..-q-..- (nonempty hyphen groups)")
-    return PqString(*map(len, match.groups()))
+    return PqString(*_groups(text))
 
 
 def is_theorem(ps: PqString) -> bool:
@@ -126,12 +148,12 @@ def _count_theorems(budget: int) -> int:
     return top * (top - 1) // 2
 
 
-def _unrank_theorem(rank: int) -> PqString:
+def _unrank_theorem(rank: int) -> Tuple[int, int, int]:
     # Theorems ordered by z, then x: the z = u + 2 group holds u + 1 of them
     # and starts at rank u * (u + 1) / 2.
     u = (math.isqrt(8 * rank + 1) - 1) // 2
     x = rank - u * (u + 1) // 2 + 1
-    return PqString(x, u + 2 - x, u + 2)
+    return x, u + 2 - x, u + 2
 
 
 def _count_nontheorems(budget: int) -> int:
@@ -140,27 +162,40 @@ def _count_nontheorems(budget: int) -> int:
     return budget * (budget - 1) * (budget - 2) // 6 - _count_theorems(budget)
 
 
-def _unrank_nontheorem(rank: int, budget: int) -> PqString:
-    # Non-theorems ordered by total hyphens, then x, then y.  The cumulative
-    # count grows like total**3 / 6, so a cube root lands near the total
-    # whose block holds the rank, and the loops settle it exactly.
-    total = max(3, int((6 * rank) ** (1 / 3)))
-    while _count_nontheorems(total - 1) > rank:
-        total -= 1
-    while _count_nontheorems(total) <= rank:
-        total += 1
+@cache
+def _nontheorems_upto() -> Tuple[int, ...]:
+    # Item t: the non-theorems with at most t hyphens, for every t the
+    # largest size bound allows.  Built on first use, not at import.
+    return tuple(_count_nontheorems(t) for t in range(MAX_SIZE_BOUND - 1))
+
+
+def _rows_within(rank: int, width: int) -> int:
+    # The most rows u with u * (width - u) / 2 <= rank, rows shrinking by one
+    # from (width - 1) / 2: the root of a quadratic, off by at most one.
+    u = (width - math.isqrt(width * width - 8 * rank)) // 2
+    return u - (u * (width - u) > 2 * rank)
+
+
+def _unrank_nontheorem(rank: int, budget: int) -> Tuple[int, int, int]:
+    # Non-theorems ordered by total hyphens, then x, then y.
+    upto = _nontheorems_upto()
+    total = bisect_right(upto, rank)
     if total > budget:
         raise AssertionError("rank out of range")
-    rank -= _count_nontheorems(total - 1)
-    half = total // 2 if total % 2 == 0 else 0  # a theorem has y = half - x
-    for x in range(1, total - 1):
-        theorem_y = half - x
-        in_x = total - x - 1 - (theorem_y >= 1)
-        if rank < in_x:
-            y = rank + 1 + (1 <= theorem_y <= rank + 1)
-            return PqString(x, y, total - x - y)
-        rank -= in_x
-    raise AssertionError("unreachable: the total's block holds the rank")
+    rank -= upto[total - 1]
+    # Row x holds total - x - 1 strings, less the theorem y = total/2 - x in
+    # the first `lead` rows, so the rows before x = u + 1 hold
+    # u * (2 * total - 3 - u) / 2 - min(u, lead) non-theorems.
+    half = total // 2 if total % 2 == 0 else 0
+    lead = max(half - 1, 0)
+    u = _rows_within(rank + lead, 2 * total - 3)
+    if u < lead:
+        u = _rows_within(rank, 2 * total - 5)
+    rank -= u * (2 * total - 3 - u) // 2 - min(u, lead)
+    x = u + 1
+    theorem_y = half - x
+    y = rank + 1 + (1 <= theorem_y <= rank + 1)
+    return x, y, total - x - y
 
 
 def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
@@ -169,23 +204,27 @@ def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
 
     Uniformity within each class keeps the obvious length statistics from
     distinguishing the two classes more than the system already allows; no
-    secrecy is claimed either way.
+    secrecy is claimed either way.  A size bound above
+    :data:`MAX_SIZE_BOUND` raises :class:`ValueError`.
     """
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     if size_bound < 6:
         raise ValueError("size bound must be >= 6 (smallest theorem is '-p-q--')")
+    if size_bound > MAX_SIZE_BOUND:
+        raise ValueError(
+            f"size bound must be <= {MAX_SIZE_BOUND} (one string per text line)"
+        )
     budget = size_bound - 2
     if bit == 0:
-        total = _count_theorems(budget)
-        ps = _unrank_theorem(src.randbelow(total))
+        x, y, z = _unrank_theorem(src.randbelow(_count_theorems(budget)))
     else:
-        total = _count_nontheorems(budget)
-        ps = _unrank_nontheorem(src.randbelow(total), budget)
-    return ps.render()
+        rank = src.randbelow(_count_nontheorems(budget))
+        x, y, z = _unrank_nontheorem(rank, budget)
+    return _render(x, y, z)
 
 
 def decode_string(text: str) -> int:
     """Read the bit carried by a string: theorem -> 0, non-theorem -> 1."""
-    ps = parse_pq(text)
-    return 0 if is_theorem(ps) else 1
+    x, y, z = _groups(text)
+    return 0 if x + y == z else 1  # is_theorem, on the group sizes

@@ -11,6 +11,14 @@ The encoder and the verifier read the object once per message, through
 :meth:`PrivateObject.features`, not once per bit: for a pad that is one
 slice, so encoding a message costs one XOR plus rendering the lines.
 
+Each direction has two forms.  :func:`encode_statements` and
+:func:`verify_statements` work on :class:`Statement` values and are the
+reference.  :func:`encode_lines` and :func:`decode_lines` work on the wire
+form, one ``<index> <claimed_value> <rendering>`` line per bit, and build no
+per-line object; the command line uses them.  Both forms share the XOR, the
+line format, the strict line parser and the bounds-and-compare loop, so
+they differ only in what they hand back.
+
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
 indices 1, 2, 3, ... in order.
@@ -142,19 +150,47 @@ def demo_object() -> TableObject:
     )
 
 
-def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]:
-    """One statement per message bit: true claims carry 0, false carry 1."""
+def _claims(message: BitString, obj: PrivateObject) -> BitString:
+    # The claimed values: message XOR features 1..len(message).
     if message.length > obj.entropy_bits:
         raise ValueError(
             f"message has {message.length} bits but the object offers only "
             f"{obj.entropy_bits} independent features"
         )
-    claims = message ^ obj.features(message.length)
+    return message ^ obj.features(message.length)
+
+
+def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]:
+    """One statement per message bit: true claims carry 0, false carry 1."""
     describe = obj.describe
     return [
         Statement(j, claimed, describe(j, claimed))
-        for j, claimed in enumerate(claims, start=1)
+        for j, claimed in enumerate(_claims(message, obj), start=1)
     ]
+
+
+def encode_lines(message: BitString, obj: PrivateObject) -> str:
+    """The wire form of :func:`encode_statements`: one line per message bit,
+    each ending in a newline, built without a :class:`Statement` per line."""
+    describe = obj.describe
+    return "".join([
+        _format_line(j, claimed, describe(j, claimed)) + "\n"
+        for j, claimed in enumerate(_claims(message, obj), start=1)
+    ])
+
+
+def _verify(pairs: Iterable[Tuple[int, int]], obj: PrivateObject) -> BitString:
+    # One bit per (feature index, claimed value) pair, in order: true -> 0.
+    width = obj.entropy_bits
+    values = obj.features(width).to01()
+    bits = []
+    for index, claimed in pairs:
+        if not 1 <= index <= width:
+            raise StatementParseError(
+                f"feature index {index} outside 1..{width}"
+            )
+        bits.append("0" if (values[index - 1] == "1") == claimed else "1")
+    return BitString("".join(bits))
 
 
 def verify_statements(
@@ -165,35 +201,38 @@ def verify_statements(
     A statement naming a feature the object lacks cannot have come from
     :func:`encode_statements`, so it raises :class:`StatementParseError`.
     """
-    width = obj.entropy_bits
-    values = obj.features(width).to01()
-    bits = []
-    for stmt in statements:
-        index = stmt.feature_index
-        if not 1 <= index <= width:
-            raise StatementParseError(
-                f"feature index {index} outside 1..{width}"
-            )
-        feature = values[index - 1] == "1"
-        bits.append("0" if feature == stmt.claimed_value else "1")
-    return BitString("".join(bits))
+    return _verify(
+        ((stmt.feature_index, stmt.claimed_value) for stmt in statements), obj
+    )
 
 
-def statement_to_line(stmt: Statement) -> str:
-    """Wire form: ``<index> <claimed_value> <rendering>``."""
-    line = f"{stmt.feature_index} {stmt.claimed_value}"
-    return f"{line} {stmt.rendering}" if stmt.rendering else line
+def decode_lines(lines: Iterable[str], obj: PrivateObject) -> BitString:
+    """Parse and check statement lines in one pass, without a
+    :class:`Statement` per line; the same bits and errors as
+    :func:`verify_statements` over :func:`statement_from_line`, except that
+    the first faulty line is reported, whichever of the two checks it fails.
+    """
+    return _verify(
+        ((index, claimed) for index, claimed, _ in map(_parse_line, lines)), obj
+    )
 
 
-def statement_from_line(line: str) -> Statement:
-    """Parse the wire form; the rendering tail is kept but never compared."""
+def _format_line(index: int, claimed: int, rendering: str) -> str:
+    # The wire form: <index> <claimed_value> <rendering>, the last optional.
+    if rendering:
+        return f"{index} {claimed} {rendering}"
+    return f"{index} {claimed}"
+
+
+def _parse_line(line: str) -> Tuple[int, int, str]:
+    # (index, claimed value, rendering) of a line, accepting only what
+    # _format_line writes: int() alone would also take signs, underscores,
+    # leading zeros and non-ASCII digits.
     parts = line.split(maxsplit=2)
     if len(parts) < 2:
         raise StatementParseError(
             f"statement line needs '<index> <value>': {line!r}"
         )
-    # Accept only what statement_to_line writes: int() alone would also take
-    # signs, underscores, leading zeros and non-ASCII digits.
     index_text, claimed_text = parts[0], parts[1]
     if claimed_text not in ("0", "1"):
         raise StatementParseError(f"claimed value must be 0 or 1: {line!r}")
@@ -206,5 +245,14 @@ def statement_from_line(line: str) -> Statement:
     except ValueError as exc:  # more digits than int() converts
         raise StatementParseError(f"malformed statement line: {line!r}") from exc
     claimed = 1 if claimed_text == "1" else 0
-    rendering = parts[2] if len(parts) == 3 else ""
-    return Statement(feature_index=index, claimed_value=claimed, rendering=rendering)
+    return index, claimed, parts[2] if len(parts) == 3 else ""
+
+
+def statement_to_line(stmt: Statement) -> str:
+    """Wire form: ``<index> <claimed_value> <rendering>``."""
+    return _format_line(stmt.feature_index, stmt.claimed_value, stmt.rendering)
+
+
+def statement_from_line(line: str) -> Statement:
+    """Parse the wire form; the rendering tail is kept but never compared."""
+    return Statement(*_parse_line(line))

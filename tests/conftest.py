@@ -4,6 +4,16 @@ from otplab.bitstring import BitString
 from otplab.reduction import generate_reduced_pad, reserved_pattern
 
 
+# Statement lines that must not parse: statement_to_line writes an unsigned
+# ASCII decimal index without leading zeros and a claimed value of exactly 0
+# or 1.  int() alone would accept several of these (1_0 as feature 10).
+MALFORMED_STATEMENT_LINES = (
+    "", "7", "x 1", "7 2", "0 1", "7 x",
+    "1_0 1", "+3 1", "-3 1", "\u0663 1", "2 +1", "2 01",
+    "2 \u0661", "07 1", "9" * 5000 + " 1",
+)
+
+
 @st.composite
 def bitstrings(draw, min_len=0, max_len=128):
     n = draw(st.integers(min_value=min_len, max_value=max_len))

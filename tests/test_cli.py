@@ -6,9 +6,12 @@ import pytest
 from otplab.analysis import TrialConfig, distinguisher_test
 from otplab.bitstring import BitString, bits_from_text
 from otplab.cli import main
+from otplab.facts import MAX_SIZE_BOUND, decode_string
 from otplab.padfile import read_pad, write_pad
 from otplab.reduction import ReductionParams, generate_reduced_pad
 from otplab.rng import RandomSource
+
+from conftest import MALFORMED_STATEMENT_LINES
 
 
 def run(capsys, *argv):
@@ -377,6 +380,48 @@ def test_non_canonical_statement_is_exit_3(capsys, pad_file, tmp_path):
     assert code == 3
     assert out == ""
     assert "1_0 1" in err
+
+
+@pytest.mark.parametrize(
+    "bad", [line for line in MALFORMED_STATEMENT_LINES if line.strip()])
+def test_malformed_statement_line_is_exit_3(capsys, pad_file, tmp_path, bad):
+    stmts = tmp_path / "stmts.txt"
+    stmts.write_text(f"1 1\n{bad}\n", encoding="utf-8")
+    code, out, err = run(capsys, "po-decode", "--pad", pad_file,
+                         "--in", str(stmts))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_po_decode_reports_the_first_faulty_line(capsys, tmp_path):
+    # Line 2 names a feature past the pad's end, line 3 is malformed: the
+    # error is line 2's.
+    pad = tmp_path / "pad4.otpd"
+    write_pad(pad, BitString("1011"))
+    stmts = tmp_path / "stmts.txt"
+    stmts.write_text("1 1\n5 0\n1_0 1\n")
+    code, out, err = run(capsys, "po-decode", "--pad", str(pad),
+                         "--in", str(stmts))
+    assert (code, out) == (3, "")
+    assert "feature index 5 outside 1..4" in err
+
+
+@pytest.mark.parametrize("bound", [MAX_SIZE_BOUND + 1, 10**121])
+def test_facts_size_bound_above_the_cap_is_exit_2(capsys, bound):
+    code, out, err = run(capsys, "facts-encode", "--in", "1", "--seed", "1",
+                         "--size-bound", str(bound))
+    assert (code, out) == (2, "")
+    assert f"size bound must be <= {MAX_SIZE_BOUND}" in err
+
+
+def test_facts_size_bound_at_the_cap_runs(capsys):
+    code, out, _ = run(capsys, "facts-encode", "--in", "10", "--seed", "1",
+                       "--size-bound", str(MAX_SIZE_BOUND))
+    assert code == 0
+    strings = out.splitlines()
+    assert [decode_string(s) for s in strings] == [1, 0]
+    assert all(len(s) <= MAX_SIZE_BOUND for s in strings)
 
 
 def test_po_encode_message_longer_than_pad_is_exit_2(capsys, pad_file):

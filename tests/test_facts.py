@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otplab.facts import (
+    MAX_SIZE_BOUND,
     ParseError,
     PqString,
     decode_string,
@@ -99,8 +101,9 @@ def test_unranking_follows_enumeration_order(size_bound):
     nons = [ps for ps in strings if not is_theorem(ps)]
     assert len(theorems) == _count_theorems(budget)
     assert len(nons) == _count_nontheorems(budget)
-    assert [_unrank_theorem(r) for r in range(len(theorems))] == theorems
-    assert [_unrank_nontheorem(r, budget) for r in range(len(nons))] == nons
+    assert [PqString(*_unrank_theorem(r)) for r in range(len(theorems))] == theorems
+    assert [PqString(*_unrank_nontheorem(r, budget))
+            for r in range(len(nons))] == nons
 
 
 def test_encode_validity_and_size_bound():
@@ -115,6 +118,47 @@ def test_encode_validity_and_size_bound():
         encode_bit(0, src, 5)
     with pytest.raises(ValueError):
         encode_bit(2, src, 10)
+
+
+def test_size_bound_cap():
+    src = RandomSource(8)
+    for bound in (MAX_SIZE_BOUND + 1, 10**121):
+        for bit in (0, 1):
+            with pytest.raises(ValueError, match="size bound must be <="):
+                encode_bit(bit, src, bound)
+    for bit in (0, 1):
+        s = encode_bit(bit, src, MAX_SIZE_BOUND)
+        assert len(s) <= MAX_SIZE_BOUND
+        assert decode_string(s) == bit
+
+
+def test_unranking_at_the_cap_keeps_block_order():
+    # The first and last rank of every hyphen total's block, at the largest
+    # budget, unrank to strings of that total, in enumeration order.
+    budget = MAX_SIZE_BOUND - 2
+    assert _count_nontheorems(2) == 0
+    keys = []
+    for total in range(3, budget + 1):
+        first, end = _count_nontheorems(total - 1), _count_nontheorems(total)
+        for rank in sorted({first, end - 1}):
+            x, y, z = _unrank_nontheorem(rank, budget)
+            assert min(x, y, z) >= 1 and x + y + z == total and x + y != z
+            keys.append((total, x, y))
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert keys[-1] == (budget, budget - 2, 1)
+    with pytest.raises(AssertionError):
+        _unrank_nontheorem(_count_nontheorems(budget), budget)
+
+
+@pytest.mark.parametrize("total", [200, 201])
+def test_unranking_covers_a_large_block(total):
+    first = _count_nontheorems(total - 1)
+    block = [(x, y, total - x - y) for x in range(1, total - 1)
+             for y in range(1, total - x) if x + y != total - x - y]
+    assert len(block) == _count_nontheorems(total) - first
+    budget = MAX_SIZE_BOUND - 2
+    assert [_unrank_nontheorem(first + r, budget)
+            for r in range(len(block))] == block
 
 
 def test_encode_decode_round_trip_10k():
@@ -152,6 +196,42 @@ def test_parser_total_on_fuzzed_bytes():
             parse_pq(text)
         except ParseError:
             pass
+
+
+def _decode_via_parse(text):
+    return 0 if is_theorem(parse_pq(text)) else 1
+
+
+def _same_bit_or_error(text):
+    try:
+        expected = _decode_via_parse(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=re.escape(str(exc))):
+            decode_string(text)
+        return False
+    assert decode_string(text) == expected
+    return True
+
+
+def test_decode_string_agrees_with_parse_on_fuzzed_input():
+    rng = random.Random(0xFACE)
+    accepted = 0
+    for _ in range(20_000):
+        length = rng.randrange(0, 24)
+        text = bytes(rng.randrange(256) for _ in range(length)).decode("latin-1")
+        _same_bit_or_error(text)
+        # Near misses: hyphen groups, possibly empty, around two separators.
+        groups = ["-" * rng.randrange(0, 8) for _ in range(3)]
+        text = (groups[0] + rng.choice("pq-x\n") + groups[1]
+                + rng.choice("qp-x\n") + groups[2])
+        accepted += _same_bit_or_error(text)
+    assert accepted > 200
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=40))
+def test_decode_string_agrees_with_parse_on_arbitrary_text(text):
+    _same_bit_or_error(text)
 
 
 @settings(max_examples=500)

@@ -9,7 +9,12 @@ percent between the two timings.
 import time
 
 from otplab.bitstring import BitString
-from otplab.private_object import PadObject, Statement, verify_statements
+from otplab.private_object import (
+    PadObject,
+    Statement,
+    decode_lines,
+    verify_statements,
+)
 from otplab.rng import RandomSource
 
 N = 100_000
@@ -52,3 +57,20 @@ def test_statement_verify_scales_linearly():
 
     ratio = _best_of_3(verify, large) / _best_of_3(verify, small)
     assert ratio < MAX_RATIO, f"verify_statements: 8x took {ratio:.1f}x as long"
+
+
+def test_statement_line_decode_scales_linearly():
+    # Bare "<index> <claim>" lines for a 400 kbit message; its first 50k
+    # lines decode against the pad's first 50 kbit.
+    n = N // 2
+    pad, message = RandomSource(5).bits(8 * n), RandomSource(6).bits(8 * n)
+    lines = [f"{j} {c}" for j, c in enumerate(pad ^ message, start=1)]
+    small = (lines[:n], PadObject(pad[:n]))
+    large = (lines, PadObject(pad))
+    assert decode_lines(*small) == message[:n]
+
+    def decode(case):
+        return decode_lines(*case)
+
+    ratio = _best_of_3(decode, large) / _best_of_3(decode, small)
+    assert ratio < MAX_RATIO, f"decode_lines: 8x took {ratio:.1f}x as long"

@@ -8,7 +8,9 @@ from otplab.private_object import (
     Statement,
     StatementParseError,
     TableObject,
+    decode_lines,
     demo_object,
+    encode_lines,
     encode_statements,
     statement_from_line,
     statement_to_line,
@@ -16,7 +18,7 @@ from otplab.private_object import (
 )
 from otplab.rng import RandomSource
 
-from conftest import bitstrings, equal_length_pairs
+from conftest import MALFORMED_STATEMENT_LINES, bitstrings, equal_length_pairs
 
 PAD = BitString("1011001001")
 MSG = BitString("0010110101")
@@ -127,14 +129,17 @@ def test_wire_form_round_trip():
 
 
 def test_wire_form_errors():
-    # Only what statement_to_line writes parses: an unsigned ASCII decimal
-    # index without leading zeros, and a claimed value of exactly 0 or 1.
-    # int() alone would accept most of the lines below (1_0 as feature 10).
-    for bad in ("", "7", "x 1", "7 2", "0 1", "7 x",
-                "1_0 1", "+3 1", "-3 1", "\u0663 1", "2 +1", "2 01",
-                "2 \u0661", "07 1", "9" * 5000 + " 1"):
+    # Only what statement_to_line writes parses.
+    for bad in MALFORMED_STATEMENT_LINES:
         with pytest.raises(StatementParseError):
             statement_from_line(bad)
+
+
+def test_decode_lines_rejects_every_malformed_line():
+    obj = PadObject(PAD)
+    for bad in MALFORMED_STATEMENT_LINES:
+        with pytest.raises(StatementParseError):
+            decode_lines(["1 1", bad], obj)
 
 
 @st.composite
@@ -193,3 +198,31 @@ def test_wire_form_survives_random_messages():
     lines = [statement_to_line(s) for s in encode_statements(m, obj)]
     revived = [statement_from_line(line) for line in lines]
     assert verify_statements(revived, obj) == m
+
+
+@given(objects_and_messages(), st.data())
+def test_wire_path_matches_statement_path(case, data):
+    obj, m = case
+    stmts = encode_statements(m, obj)
+    wire = encode_lines(m, obj)
+    assert wire == "".join(statement_to_line(s) + "\n" for s in stmts)
+    lines = wire.splitlines()
+    assert decode_lines(lines, obj) == verify_statements(
+        [statement_from_line(line) for line in lines], obj) == m
+    # Any order and any repeats, as a receiver may be sent them.
+    picked = data.draw(st.lists(st.sampled_from(lines))) if lines else []
+    assert decode_lines(picked, obj) == verify_statements(
+        [statement_from_line(line) for line in picked], obj)
+
+
+def test_decode_lines_rejects_statement_past_object_end():
+    obj = PadObject(PAD)
+    for index in (11, 12):
+        with pytest.raises(StatementParseError, match=f"feature index {index}"):
+            decode_lines(["1 1", f"{index} 0"], obj)
+
+
+def test_encode_lines_rejects_message_longer_than_object():
+    with pytest.raises(ValueError, match="independent features"):
+        encode_lines(BitString.zeros(11), PadObject(PAD))
+    assert encode_lines(BitString(""), PadObject(PAD)) == ""
