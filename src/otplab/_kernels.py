@@ -3,8 +3,8 @@
 Each function replays, word for word, the draw discipline documented in
 :mod:`otplab.rng` and the pad construction in :mod:`otplab.reduction`, and
 the test suite checks it against that library path.  Pads are handled as
-raw integers (value of the bit string read MSB-first) so these loops stay
-fast in pure Python.
+raw integers (value of the bit string read MSB-first), and everything is
+standard-library Python.
 
 :mod:`otplab.reduction` owns the protocol rules: which ``(n, k)`` are valid,
 the reserved tails and the allowed tails.  The kernels take them from there.
@@ -21,16 +21,58 @@ Shared trial contract (one independent child stream per trial index):
 The distinguisher completes a pad from one table: whatever the coin, the
 head is the first ``n - k`` bits of the pad word, and the coin alone picks
 the k-bit tail (``P_(coin+1)`` for a short pad, else an allowed tail).
+
+Packed lanes (distinguisher).  The distinguisher runs many trials at once in
+one Python ``int``: trial ``t0 + i`` owns the 128-bit lane ``i`` (bits
+``128*i .. 128*i + 127``), its 64-bit SplitMix64 state in the low half.
+With ``ones`` holding 1 in every lane and ``ramp`` holding ``i`` in lane
+``i``, the child seeds of a chunk are
+``((ramp*GAMMA + ((GAMMA*(t0+1)) mod 2**64)*ones) & mask) ^ seed*ones``, and
+each SplitMix64 step is a handful of adds, shifts, XORs and ANDs over all
+lanes.  Two pitfalls:
+
+* A right shift pulls the low bits of lane ``i + 1`` into the high half of
+  lane ``i``, and a product fills it, so every multiply is preceded and
+  followed by an AND with the lane mask.  A masked lane times a 64-bit
+  constant is under ``2**128`` and never carries into the next lane.
+* Multiply a packed int only by a 64-bit constant, which is linear in its
+  size; a product of two packed ints would be a Karatsuba multiplication.
+
+Pads are not completed in the lanes: each chunk histograms the n-bit key
+``(head << k) | coin`` (the low word of every lane, read through a
+``memoryview``) into a ``Counter``, and at the end every distinct key, at
+most ``2**n`` of them, goes once through the ``tail_of`` table.  The coin
+select thus costs nothing per trial, and the completion rule lives in one
+place.
+
+A chunk is ``_CHUNK = 2048`` lanes, a 32 KiB int.  The working set is a
+few such ints and stays under 1 MiB (0.62 MiB peak under ``tracemalloc`` at
+n = 8 and 200,000 trials).  32768-lane chunks peaked at 8.5 MiB, grew the
+process by 11 MiB more over 1M trials, and were no faster.
+
+The eve and reduction kernels stay scalar per-trial loops for now.  Packed
+as well, they would take ``_kernels`` below the share of the traced
+``verify`` time that ``perfbench/tracer.py`` requires of a kernel-bound
+workload (``KERNEL_SHARE``), so that check must change first (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from typing import List, Tuple
 
 from .reduction import ReductionParams, allowed_tails, reserved_pattern
-from .rng import derive_child_seed, splitmix64_next
+from .rng import MASK64, _GAMMA, _MIX1, _MIX2, derive_child_seed, splitmix64_next
 
 IMPL_NAME = "pure"
+
+_LANE_BYTES = 16  # one lane: a 64-bit word times a 64-bit constant fits
+_ONE_LANE = (1).to_bytes(_LANE_BYTES, "little")
+_CHUNK = 2048  # lanes per packed int; see the module docstring
+# Index of a lane's low 64-bit word among the native words of its bytes.
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 def available_impls() -> tuple:
@@ -45,6 +87,18 @@ def _params(n: int, k: int) -> ReductionParams:
             f"kernels cut each pad from one 64-bit word; need n <= 63, got n={n}"
         )
     return params
+
+
+def _splitmix64_lanes(state: int, gamma: int, mask: int) -> Tuple[int, int]:
+    """:func:`~otplab.rng.splitmix64_next` on every lane of ``state``.
+
+    Lanes of the output word carry bits of the next lane above bit 64; the
+    caller masks them off.
+    """
+    state = (state + gamma) & mask
+    z = ((state ^ (state >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    return z ^ (z >> 31), state
 
 
 def census_counts(n: int) -> List[int]:
@@ -93,18 +147,37 @@ def distinguisher_counts(
     # Completed tail by coin: a permutation of the 2**k tails.
     tail_of = [reserved_pattern(params, i).value for i in range(1, k + 1)]
     tail_of += allowed_tails(params)
-    head_shift = 64 - (n - k)
-    coin_shift = 64 - k
+    kmask = (1 << k) - 1
+    seed &= MASK64
+    keys0: Counter = Counter()
+    keys1: Counter = Counter()
+    lanes = 0
+    for t0 in range(0, trials, _CHUNK):
+        if lanes != min(_CHUNK, trials - t0):  # the first and a short last chunk
+            lanes = min(_CHUNK, trials - t0)
+            ones = int.from_bytes(_ONE_LANE * lanes, "little")
+            ramp_gamma = _GAMMA * int.from_bytes(
+                b"".join(i.to_bytes(_LANE_BYTES, "little") for i in range(lanes)),
+                "little",
+            )
+            mask = MASK64 * ones
+            gamma = _GAMMA * ones
+            seeds = seed * ones
+            head_mask = ((1 << n) - 1 - kmask) * ones
+            coin_mask = kmask * ones
+        # Lane i holds derive_child_seed(seed, t0 + i).
+        state = (ramp_gamma + ((_GAMMA * (t0 + 1)) & MASK64) * ones) & mask
+        state ^= seeds
+        for keys in (keys0, keys1):
+            coin, state = _splitmix64_lanes(state, gamma, mask)
+            bits, state = _splitmix64_lanes(state, gamma, mask)
+            # (head << k) | coin: the first n - k pad bits, then the coin.
+            key = ((bits >> (64 - n)) & head_mask) | ((coin >> (64 - k)) & coin_mask)
+            words = memoryview(key.to_bytes(_LANE_BYTES * lanes, sys.byteorder))
+            keys.update(words.cast("Q")[_LOW_WORD::2])
     hist0 = [0] * (1 << n)
     hist1 = [0] * (1 << n)
-    for t in range(trials):
-        state = derive_child_seed(seed, t)
-        coin0, state = splitmix64_next(state)
-        bits0, state = splitmix64_next(state)
-        coin1, state = splitmix64_next(state)
-        bits1, state = splitmix64_next(state)
-        pad0 = ((bits0 >> head_shift) << k) | tail_of[coin0 >> coin_shift]
-        pad1 = ((bits1 >> head_shift) << k) | tail_of[coin1 >> coin_shift]
-        hist0[m0 ^ pad0] += 1
-        hist1[m1 ^ pad1] += 1
+    for m, keys, hist in ((m0, keys0, hist0), (m1, keys1, hist1)):
+        for key, count in keys.items():
+            hist[m ^ ((key >> k) << k | tail_of[key & kmask])] += count
     return hist0, hist1

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import _kernels
-from .bitstring import BitString, xor
+from .bitstring import BitString
 from .reduction import (
     ReductionParams,
     effective_pad,
@@ -230,14 +230,15 @@ def distinguisher_test(
             n, params.k, cfg.m0.value, cfg.m1.value, cfg.seed, cfg.trials
         )
     else:
+        # TrialConfig holds both messages to n bits, as effective_pad does
+        # every pad, so the ciphertexts are plain integer XORs.
+        m0, m1 = cfg.m0.value, cfg.m1.value
         hist0 = [0] * (1 << n)
         hist1 = [0] * (1 << n)
         for t in range(cfg.trials):
             src = RandomSource(derive_child_seed(cfg.seed, t))
-            c0 = xor(cfg.m0, effective_pad(generator(params, src), params))
-            c1 = xor(cfg.m1, effective_pad(generator(params, src), params))
-            hist0[c0.value] += 1
-            hist1[c1.value] += 1
+            hist0[m0 ^ effective_pad(generator(params, src), params).value] += 1
+            hist1[m1 ^ effective_pad(generator(params, src), params).value] += 1
     tv = Fraction(sum(abs(a - b) for a, b in zip(hist0, hist1)), 2 * cfg.trials)
     threshold = 3.0 * math.sqrt((1 << n) / cfg.trials)
     return SecrecyReport(

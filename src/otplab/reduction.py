@@ -104,12 +104,12 @@ def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> BitStrin
     length is the secret transmitted length."""
     # One k-bit draw decides both the pad length and, for full-length pads,
     # which allowed tail is used; no rejection, constant draws per pad.
-    t = src.bits(params.k).value
-    if t < params.k:
-        return src.bits(params.n - (t + 1))
-    head = src.bits(params.n - params.k)
-    tail = BitString.from_int(allowed_tails(params)[t - params.k], params.k)
-    return head + tail
+    n, k = params.n, params.k
+    t = src.bits(k).value
+    if t < k:
+        return src.bits(n - (t + 1))
+    head = src.bits(n - k).value
+    return BitString.from_int((head << k) | allowed_tails(params)[t - k], n)
 
 
 def effective_pad(pad: BitString, params: ReductionParams) -> BitString:
@@ -128,7 +128,8 @@ def effective_pad(pad: BitString, params: ReductionParams) -> BitString:
         )
     if length == n:
         return pad
-    return pad[: n - k] + reserved_pattern(params, n - length)
+    head = pad.value >> (length - (n - k))
+    return BitString.from_int((head << k) | _reserved_value(params, n - length), n)
 
 
 def encrypt_reduced(

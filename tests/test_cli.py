@@ -226,6 +226,29 @@ def test_reduced_pad_outputs_are_pinned(capsys, tmp_path, monkeypatch):
         "2bdf8f802bd97d1e30c387b62bd88901ebd32208f3554d656c0e3a8a170ba89b")
 
 
+PINNED_DISTINGUISH = [
+    (8, 1, 1_000_000,
+     "18a90b284f3c5afee94768861e51eda0a7173ad8ea6a4049f44b4107d05c8e7f"),
+    (12, 3, 200_000,
+     "1c36ea33d6255f23032cd93a0532eaee399b7ed4f665d14f210ae4f881343bc0"),
+    (12, 4, 50_001,
+     "22097afba38d92b2d09e94f9dfcae4a92a03f99ee02576b6891306551d8b0dc5"),
+    (10, 2, 50_000,
+     "6b5f0265dd71331451af321d24d22d56046dbd77220d7da4e5106e6d9972cd97"),
+]
+
+
+@pytest.mark.parametrize("n, k, trials, digest", PINNED_DISTINGUISH,
+                         ids=[f"n{c[0]}k{c[1]}t{c[2]}" for c in PINNED_DISTINGUISH])
+def test_distinguish_stdout_is_pinned(capsys, n, k, trials, digest):
+    # Digests of the stdout printed by the scalar per-trial kernel.
+    code, out, _ = run(capsys, "analyze", "distinguish", "--n", str(n),
+                       "--k", str(k), "--trials", str(trials),
+                       "--seed", "20261018")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_facts_decode_rejects_garbage(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("-p-q--\nnot a string\n")

@@ -1,5 +1,9 @@
 """Kernel contracts: agreement with the library path at every k."""
 
+import hashlib
+import random
+import tracemalloc
+
 import pytest
 
 from otplab import _kernels
@@ -13,6 +17,27 @@ from otplab.rng import RandomSource, derive_child_seed
 
 GRID = [(10, 1), (10, 2), (10, 3), (12, 4), (8, 2)]
 grid = pytest.mark.parametrize("n, k", GRID, ids=[f"n{n}k{k}" for n, k in GRID])
+
+
+def _library_ciphertexts(params, m0, m1, seed, trials):
+    """``(c0, c1)`` per trial: both candidates encrypted on the library path,
+    with the draw discipline the distinguisher kernel replays."""
+    out = []
+    for t in range(trials):
+        src = RandomSource(derive_child_seed(seed, t))
+        c0 = xor(m0, effective_pad(generate_reduced_pad(params, src), params))
+        c1 = xor(m1, effective_pad(generate_reduced_pad(params, src), params))
+        out.append((c0.value, c1.value))
+    return out
+
+
+def _histograms(n, ciphertexts):
+    hist0 = [0] * (1 << n)
+    hist1 = [0] * (1 << n)
+    for c0, c1 in ciphertexts:
+        hist0[c0] += 1
+        hist1[c1] += 1
+    return hist0, hist1
 
 
 def test_selected_impl_is_sane():
@@ -52,16 +77,25 @@ class TestAgainstLibraryPath:
         seed, trials = 909, 1500
         params = ReductionParams(n, k)
         m0, m1 = BitString.zeros(n), BitString.ones(n)
-        hist0 = [0] * (1 << n)
-        hist1 = [0] * (1 << n)
-        for t in range(trials):
-            src = RandomSource(derive_child_seed(seed, t))
-            hist0[xor(m0, effective_pad(generate_reduced_pad(params, src),
-                                        params)).value] += 1
-            hist1[xor(m1, effective_pad(generate_reduced_pad(params, src),
-                                        params)).value] += 1
+        expected = _histograms(n, _library_ciphertexts(params, m0, m1, seed,
+                                                        trials))
         assert _kernels.distinguisher_counts(n, k, m0.value, m1.value, seed,
-                                             trials) == (hist0, hist1)
+                                             trials) == expected
+
+    @grid
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_distinguisher_chunk_borders(self, n, k, seed):
+        # Trial counts on both sides of one and two packed chunks.
+        chunk = _kernels._CHUNK
+        rnd = random.Random(n * 100 + k)
+        m0, m1 = rnd.sample(range(1 << n), 2)
+        params = ReductionParams(n, k)
+        ciphertexts = _library_ciphertexts(
+            params, BitString.from_int(m0, n), BitString.from_int(m1, n), seed,
+            2 * chunk + 1)
+        for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            assert _kernels.distinguisher_counts(n, k, m0, m1, seed, trials) \
+                == _histograms(n, ciphertexts[:trials]), trials
 
     def test_census_against_formula(self):
         for n in (1, 4, 9, 14):
@@ -79,3 +113,34 @@ def test_kernel_validation():
         _kernels.eve_guess_correct(64, 1, 1, 10)
     with pytest.raises(ValueError):
         _kernels.distinguisher_counts(10, 4, 0, 1023, 1, 10)  # needs n >= 12
+
+
+PINNED_HISTOGRAMS = [
+    (8, 1, 165, 252, 100_003,
+     "afbaff5f9e2e281a352a83acab9bfe3615aa21eff44bdc68d79b1dc75b0cc2b8"),
+    (12, 3, 2640, 4092, 50_001,
+     "ff807af6a042eb8acbcb9b1ef52c6576c85689fdba7a732c938ee8fdc39d769e"),
+    (12, 4, 2640, 4092, 70_001,
+     "68944d5b7cf11f99b47fe720f7a47bac67923e66a37e6a194d81b9ff30e3e44c"),
+    (10, 2, 660, 1020, 4_097,
+     "eb79b53dc8590c6215373e241da877e3e7f704ca406433a77bb508eb8f24385e"),
+]
+
+
+@pytest.mark.parametrize("n, k, m0, m1, trials, digest", PINNED_HISTOGRAMS,
+                         ids=[f"n{c[0]}k{c[1]}t{c[4]}" for c in PINNED_HISTOGRAMS])
+def test_distinguisher_histograms_are_pinned(n, k, m0, m1, trials, digest):
+    # Digests of repr((hist0, hist1)) taken from the scalar per-trial kernel.
+    hists = _kernels.distinguisher_counts(n, k, m0, m1, 0x5EED2026, trials)
+    assert hashlib.sha256(repr(hists).encode()).hexdigest() == digest
+
+
+def test_distinguisher_memory_is_bounded():
+    # Packed chunks keep the working set to a few chunk-sized integers.
+    tracemalloc.start()
+    try:
+        _kernels.distinguisher_counts(8, 1, 0, 255, 2024, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
