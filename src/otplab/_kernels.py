@@ -9,8 +9,9 @@ standard-library Python.
 :mod:`otplab.reduction` owns the protocol rules: which ``(n, k)`` are valid,
 the reserved tails and the allowed tails.  The kernels take them from there.
 The eve and distinguisher kernels add one limit of their own, ``n <= 63``,
-because each message and pad is cut from a single 64-bit generator word; the
-reduction kernel draws only the k-bit length coin and has no such limit.
+because each message and pad is cut from a single 64-bit generator word.  The
+reduction kernel draws only the k-bit length coin, so n is free, but the coin
+is cut from one word too: it needs ``k <= 64``.
 
 Shared trial contract (one independent child stream per trial index):
 
@@ -22,8 +23,8 @@ The distinguisher completes a pad from one table: whatever the coin, the
 head is the first ``n - k`` bits of the pad word, and the coin alone picks
 the k-bit tail (``P_(coin+1)`` for a short pad, else an allowed tail).
 
-Packed lanes (distinguisher).  The distinguisher runs many trials at once in
-one Python ``int``: trial ``t0 + i`` owns the 128-bit lane ``i`` (bits
+Packed lanes (distinguisher and reduction).  These kernels run many trials at
+once in one Python ``int``: trial ``t0 + i`` owns the 128-bit lane ``i`` (bits
 ``128*i .. 128*i + 127``), its 64-bit SplitMix64 state in the low half.
 With ``ones`` holding 1 in every lane and ``ramp`` holding ``i`` in lane
 ``i``, the child seeds of a chunk are
@@ -38,22 +39,35 @@ lanes.  Two pitfalls:
 * Multiply a packed int only by a 64-bit constant, which is linear in its
   size; a product of two packed ints would be a Karatsuba multiplication.
 
-Pads are not completed in the lanes: each chunk histograms the n-bit key
-``(head << k) | coin`` (the low word of every lane, read through a
-``memoryview``) into a ``Counter``, and at the end every distinct key, at
-most ``2**n`` of them, goes once through the ``tail_of`` table.  The coin
-select thus costs nothing per trial, and the completion rule lives in one
-place.
+``_lane_chunks`` builds these lane constants and the seeds of every chunk
+for both packed kernels.
+
+Neither kernel finishes a trial in the lanes; each histograms a small key
+read from the low word of every lane (through a ``memoryview``) with a
+``Counter`` and maps each distinct key once:
+
+* distinguisher: the n-bit key ``(head << k) | coin``, at most ``2**n`` of
+  them over the whole run, goes through the ``tail_of`` table at the end.
+  The coin select thus costs nothing per trial, and the completion rule
+  lives in one place.
+* reduction: the k-bit coin ``(w & mask) >> (64 - k)`` (masking first drops
+  the next lane's bits) maps to its length index.  Each chunk's ``Counter``
+  is folded into the counts at once, so for k up to 64 at most 2048 coins
+  are held: at k = 40 nearly every coin is distinct, and one ``Counter``
+  over the run would hold a key per trial (10.5 MiB at 100,000 trials).
 
 A chunk is ``_CHUNK = 2048`` lanes, a 32 KiB int.  The working set is a
 few such ints and stays under 1 MiB (0.62 MiB peak under ``tracemalloc`` at
-n = 8 and 200,000 trials).  32768-lane chunks peaked at 8.5 MiB, grew the
-process by 11 MiB more over 1M trials, and were no faster.
+n = 8 and 200,000 distinguisher trials, 0.44 MiB at (12, 4) and 500,000
+reduction trials).  32768-lane chunks peaked at 8.5 MiB, grew the process
+by 11 MiB more over 1M trials, and were no faster.
 
-The eve and reduction kernels stay scalar per-trial loops for now.  Packed
-as well, they would take ``_kernels`` below the share of the traced
-``verify`` time that ``perfbench/tracer.py`` requires of a kernel-bound
-workload (``KERNEL_SHARE``), so that check must change first (ROADMAP
+``eve_guess_correct`` stays a scalar per-trial loop.  A packed eve kernel
+built on ``_lane_chunks`` matched it and ran 200,000 trials 6 to 20 times
+faster, but with all three kernels packed the ``_kernels`` share of the
+traced ``verify`` time was 35.3 %, 35.6 %, 38.6 % and 43.4 % in four runs,
+under the 50 % that ``perfbench/tracer.py`` requires of a kernel-bound
+workload (``KERNEL_SHARE``).  That check must change first (ROADMAP
 item 1).
 """
 
@@ -61,7 +75,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .reduction import ReductionParams, allowed_tails, reserved_pattern
 from .rng import MASK64, _GAMMA, _MIX1, _MIX2, derive_child_seed, splitmix64_next
@@ -101,6 +115,39 @@ def _splitmix64_lanes(state: int, gamma: int, mask: int) -> Tuple[int, int]:
     return z ^ (z >> 31), state
 
 
+def _lane_chunks(seed: int, trials: int, *values: int) -> Iterator[tuple]:
+    """Trials ``0 .. trials - 1`` in packed chunks of at most ``_CHUNK`` lanes.
+
+    Yields ``(lanes, state, gamma, mask, *replicated)`` per chunk: lane ``i``
+    of ``state`` holds ``derive_child_seed(seed, t0 + i)``, ``gamma`` and
+    ``mask`` hold the SplitMix64 increment and ``MASK64`` in every lane, and
+    each of ``values`` comes back with a copy in every lane.  The lane
+    constants are built for the first chunk and rebuilt for a short last one.
+    """
+    seed &= MASK64
+    lanes = 0
+    for t0 in range(0, trials, _CHUNK):
+        if lanes != min(_CHUNK, trials - t0):
+            lanes = min(_CHUNK, trials - t0)
+            ones = int.from_bytes(_ONE_LANE * lanes, "little")
+            ramp_gamma = _GAMMA * int.from_bytes(
+                b"".join(i.to_bytes(_LANE_BYTES, "little") for i in range(lanes)),
+                "little",
+            )
+            mask = MASK64 * ones
+            gamma = _GAMMA * ones
+            seeds = seed * ones
+            replicated = [v * ones for v in values]
+        state = (ramp_gamma + ((_GAMMA * (t0 + 1)) & MASK64) * ones) & mask
+        yield (lanes, state ^ seeds, gamma, mask, *replicated)
+
+
+def _low_words(packed: int, lanes: int) -> memoryview:
+    """The low 64-bit word of each of the ``lanes`` lanes of ``packed``."""
+    words = memoryview(packed.to_bytes(_LANE_BYTES * lanes, sys.byteorder))
+    return words.cast("Q")[_LOW_WORD::2]
+
+
 def census_counts(n: int) -> List[int]:
     """Bits-saved histogram of the trailing-zeros codec over all 2**n pads."""
     counts = [0] * (n + 1)
@@ -113,11 +160,19 @@ def census_counts(n: int) -> List[int]:
 def reduction_length_counts(n: int, k: int, seed: int, trials: int) -> List[int]:
     """Counts of transmitted length ``n - i`` for i = 0..k over the trials."""
     ReductionParams(n, k)
+    if k > 64:
+        raise ValueError(
+            f"kernels cut the length coin from one 64-bit word; need k <= 64, "
+            f"got k={k}"
+        )
     counts = [0] * (k + 1)
-    for t in range(trials):
-        w, _ = splitmix64_next(derive_child_seed(seed, t))
-        coin = w >> (64 - k)
-        counts[coin + 1 if coin < k else 0] += 1
+    for lanes, state, gamma, mask in _lane_chunks(seed, trials):
+        w, _ = _splitmix64_lanes(state, gamma, mask)
+        # Masking first drops the next lane's bits, so the shift leaves only
+        # the k-bit coin in each lane's low word.
+        coins = Counter(_low_words((w & mask) >> (64 - k), lanes))
+        for coin, count in coins.items():
+            counts[coin + 1 if coin < k else 0] += count
     return counts
 
 
@@ -148,33 +203,16 @@ def distinguisher_counts(
     tail_of = [reserved_pattern(params, i).value for i in range(1, k + 1)]
     tail_of += allowed_tails(params)
     kmask = (1 << k) - 1
-    seed &= MASK64
     keys0: Counter = Counter()
     keys1: Counter = Counter()
-    lanes = 0
-    for t0 in range(0, trials, _CHUNK):
-        if lanes != min(_CHUNK, trials - t0):  # the first and a short last chunk
-            lanes = min(_CHUNK, trials - t0)
-            ones = int.from_bytes(_ONE_LANE * lanes, "little")
-            ramp_gamma = _GAMMA * int.from_bytes(
-                b"".join(i.to_bytes(_LANE_BYTES, "little") for i in range(lanes)),
-                "little",
-            )
-            mask = MASK64 * ones
-            gamma = _GAMMA * ones
-            seeds = seed * ones
-            head_mask = ((1 << n) - 1 - kmask) * ones
-            coin_mask = kmask * ones
-        # Lane i holds derive_child_seed(seed, t0 + i).
-        state = (ramp_gamma + ((_GAMMA * (t0 + 1)) & MASK64) * ones) & mask
-        state ^= seeds
+    chunks = _lane_chunks(seed, trials, (1 << n) - 1 - kmask, kmask)
+    for lanes, state, gamma, mask, head_mask, coin_mask in chunks:
         for keys in (keys0, keys1):
             coin, state = _splitmix64_lanes(state, gamma, mask)
             bits, state = _splitmix64_lanes(state, gamma, mask)
             # (head << k) | coin: the first n - k pad bits, then the coin.
             key = ((bits >> (64 - n)) & head_mask) | ((coin >> (64 - k)) & coin_mask)
-            words = memoryview(key.to_bytes(_LANE_BYTES * lanes, sys.byteorder))
-            keys.update(words.cast("Q")[_LOW_WORD::2])
+            keys.update(_low_words(key, lanes))
     hist0 = [0] * (1 << n)
     hist1 = [0] * (1 << n)
     for m, keys, hist in ((m0, keys0, hist0), (m1, keys1, hist1)):

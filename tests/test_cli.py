@@ -249,6 +249,46 @@ def test_distinguish_stdout_is_pinned(capsys, n, k, trials, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+PINNED_REDUCTION = [
+    (12, 4, 500_000, 0,
+     "e7627d85665ad803840d94db3d15ca18f09ad72847d600987a699cb55b76726c"),
+    (12, 4, 500_000, (1 << 64) - 1,
+     "a62293ae3f5d08b859a3169f64d4ee5107a532b1c6bcb50de4608f15f23eb940"),
+    (10, 3, 4_097, 0,
+     "32399a4272ef033478d80b61cce54e1424a632dca29a64467e94d54a6cd3ca74"),
+    (10, 3, 4_097, (1 << 64) - 1,
+     "711991a54ef99c5bcc21895cfc3237dc0d8cc2a8481ba58a0fc502e241a0206e"),
+    (1 << 40, 40, 2_049, 0,
+     "184638f48c9634c68d2c254e178150d44e94e1b0a6b5f1192185469e525673bd"),
+    (1 << 40, 40, 2_049, (1 << 64) - 1,
+     "184638f48c9634c68d2c254e178150d44e94e1b0a6b5f1192185469e525673bd"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, k, trials, seed, digest", PINNED_REDUCTION,
+    ids=[f"n{c[0]}k{c[1]}t{c[2]}s{c[3]}" for c in PINNED_REDUCTION])
+def test_reduction_stdout_is_pinned(capsys, n, k, trials, seed, digest):
+    # Digests of the stdout printed by the scalar per-trial kernel.  At k = 40
+    # a short pad has odds 40 / 2**40, so both seeds print all-full-length.
+    code, out, _ = run(capsys, "analyze", "reduction", "--n", str(n),
+                       "--k", str(k), "--trials", str(trials),
+                       "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reduction_coin_past_one_word_is_exit_2(capsys):
+    # n = k + 2**(k-1) makes (n, 65) a valid pair, but the kernel's coin is
+    # one 64-bit word.
+    code, out, err = run(capsys, "analyze", "reduction",
+                         "--n", str((1 << 64) + 65), "--k", "65",
+                         "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert "k <= 64" in err and "k=65" in err
+
+
 def test_facts_decode_rejects_garbage(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("-p-q--\nnot a string\n")

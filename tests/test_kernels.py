@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otplab import _kernels
 from otplab.bitstring import BitString, xor
@@ -13,7 +15,7 @@ from otplab.reduction import (
     effective_pad,
     generate_reduced_pad,
 )
-from otplab.rng import RandomSource, derive_child_seed
+from otplab.rng import RandomSource, derive_child_seed, splitmix64_next
 
 GRID = [(10, 1), (10, 2), (10, 3), (12, 4), (8, 2)]
 grid = pytest.mark.parametrize("n, k", GRID, ids=[f"n{n}k{k}" for n, k in GRID])
@@ -29,6 +31,22 @@ def _library_ciphertexts(params, m0, m1, seed, trials):
         c1 = xor(m1, effective_pad(generate_reduced_pad(params, src), params))
         out.append((c0.value, c1.value))
     return out
+
+
+def _library_savings(params, seed, trials):
+    """Bits saved, ``n - len(pad)``, by the pad the library draws per trial."""
+    return [params.n - len(generate_reduced_pad(
+        params, RandomSource(derive_child_seed(seed, t)))) for t in range(trials)]
+
+
+def _one_word_counts(k, seed, trials):
+    """Reduction counts from the k-bit coin of each trial's first word; the
+    reference for n too large to draw pads on the library path."""
+    counts = [0] * (k + 1)
+    for t in range(trials):
+        coin = splitmix64_next(derive_child_seed(seed, t))[0] >> (64 - k)
+        counts[coin + 1 if coin < k else 0] += 1
+    return counts
 
 
 def _histograms(n, ciphertexts):
@@ -49,13 +67,20 @@ class TestAgainstLibraryPath:
 
     @grid
     def test_reduction_counts(self, n, k):
-        seed, trials = 31337, 2000
-        params = ReductionParams(n, k)
-        expected = [0] * (k + 1)
-        for t in range(trials):
-            src = RandomSource(derive_child_seed(seed, t))
-            expected[n - len(generate_reduced_pad(params, src))] += 1
-        assert _kernels.reduction_length_counts(n, k, seed, trials) == expected
+        saved = _library_savings(ReductionParams(n, k), 31337, 2000)
+        expected = [saved.count(i) for i in range(k + 1)]
+        assert _kernels.reduction_length_counts(n, k, 31337, 2000) == expected
+
+    @grid
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_reduction_chunk_borders(self, n, k, seed):
+        # Trial counts on both sides of one and two packed chunks.
+        chunk = _kernels._CHUNK
+        saved = _library_savings(ReductionParams(n, k), seed, 2 * chunk + 1)
+        for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            expected = [saved[:trials].count(i) for i in range(k + 1)]
+            assert _kernels.reduction_length_counts(n, k, seed, trials) \
+                == expected, trials
 
     @grid
     def test_eve(self, n, k):
@@ -109,10 +134,32 @@ def test_kernel_validation():
         _kernels.reduction_length_counts(10, 0, 1, 10)
     with pytest.raises(ValueError):
         _kernels.reduction_length_counts(10, 4, 1, 10)  # needs n >= 12
+    with pytest.raises(ValueError, match="k <= 64"):  # a valid pair
+        _kernels.reduction_length_counts((1 << 64) + 65, 65, 1, 10)
     with pytest.raises(ValueError):
         _kernels.eve_guess_correct(64, 1, 1, 10)
     with pytest.raises(ValueError):
         _kernels.distinguisher_counts(10, 4, 0, 1023, 1, 10)  # needs n >= 12
+
+
+@pytest.mark.parametrize("n, k", [(1 << 40, 40), ((1 << 63) + 64, 64), (100, 6)],
+                         ids=["n2^40k40", "n2^63+64k64", "n100k6"])
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_reduction_past_one_word(n, k, seed):
+    # The kernel draws only the coin, so n has no limit and k reaches 64.
+    chunk = _kernels._CHUNK
+    for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        assert _kernels.reduction_length_counts(n, k, seed, trials) \
+            == _one_word_counts(k, seed, trials), trials
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 100), st.integers(0, (1 << 64) - 1),
+       st.integers(0, 3 * _kernels._CHUNK))
+def test_reduction_matches_one_word_reference(k, extra, seed, trials):
+    n = k + (1 << (k - 1)) + extra
+    assert _kernels.reduction_length_counts(n, k, seed, trials) \
+        == _one_word_counts(k, seed, trials)
 
 
 PINNED_HISTOGRAMS = [
@@ -140,6 +187,20 @@ def test_distinguisher_memory_is_bounded():
     tracemalloc.start()
     try:
         _kernels.distinguisher_counts(8, 1, 0, 255, 2024, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("n, k, trials", [(12, 4, 500_000), (1 << 40, 40, 100_000)],
+                         ids=["n12k4", "n2^40k40"])
+def test_reduction_memory_is_bounded(n, k, trials):
+    # Coins are counted per chunk: at k = 40 nearly every coin is distinct,
+    # and one Counter over all trials would hold one key per trial.
+    tracemalloc.start()
+    try:
+        _kernels.reduction_length_counts(n, k, 2024, trials)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
