@@ -16,7 +16,7 @@ from .padfile import (
     serialize_pad,
     write_pad,
 )
-from .otp import Pad, PadReuseError, decrypt, encrypt, keygen
+from .otp import decrypt, encrypt, keygen
 from .reduction import (
     ReductionParams,
     allowed_tails,
@@ -70,8 +70,6 @@ __all__ = [
     "deserialize_pad",
     "read_pad",
     "write_pad",
-    "Pad",
-    "PadReuseError",
     "keygen",
     "encrypt",
     "decrypt",

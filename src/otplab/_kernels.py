@@ -46,29 +46,14 @@ Neither kernel finishes a trial in the lanes; each histograms a small key
 read from the low word of every lane (through a ``memoryview``) with a
 ``Counter`` and maps each distinct key once:
 
-* distinguisher: the n-bit key ``(head << k) | coin``, at most ``2**n`` of
-  them over the whole run, goes through the ``tail_of`` table at the end.
-  The coin select thus costs nothing per trial, and the completion rule
-  lives in one place.
+* distinguisher: the n-bit key ``(head << k) | coin`` goes through the
+  ``tail_of`` table at the end, so the completion rule lives in one place.
 * reduction: the k-bit coin ``(w & mask) >> (64 - k)`` (masking first drops
   the next lane's bits) maps to its length index.  Each chunk's ``Counter``
-  is folded into the counts at once, so for k up to 64 at most 2048 coins
-  are held: at k = 40 nearly every coin is distinct, and one ``Counter``
-  over the run would hold a key per trial (10.5 MiB at 100,000 trials).
+  is folded into the counts at once, so at most one chunk of coins is held.
 
-A chunk is ``_CHUNK = 2048`` lanes, a 32 KiB int.  The working set is a
-few such ints and stays under 1 MiB (0.62 MiB peak under ``tracemalloc`` at
-n = 8 and 200,000 distinguisher trials, 0.44 MiB at (12, 4) and 500,000
-reduction trials).  32768-lane chunks peaked at 8.5 MiB, grew the process
-by 11 MiB more over 1M trials, and were no faster.
-
-``eve_guess_correct`` stays a scalar per-trial loop.  A packed eve kernel
-built on ``_lane_chunks`` matched it and ran 200,000 trials 6 to 20 times
-faster, but with all three kernels packed the ``_kernels`` share of the
-traced ``verify`` time was 35.3 %, 35.6 %, 38.6 % and 43.4 % in four runs,
-under the 50 % that ``perfbench/tracer.py`` requires of a kernel-bound
-workload (``KERNEL_SHARE``).  That check must change first (ROADMAP
-item 1).
+A chunk is ``_CHUNK = 2048`` lanes, a 32 KiB int: larger chunks were no
+faster and only grew the working set.
 """
 
 from __future__ import annotations

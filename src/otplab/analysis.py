@@ -140,7 +140,7 @@ def _enumerate_outcomes(run, max_total_bits: int = 20):
     """Yield ``(probability, result)`` over every random outcome of ``run``.
 
     ``run`` takes a source and may only draw through ``bits``; the draw tree
-    is explored exhaustively, each leaf weighted ``2**-(bits consumed)``.
+    is explored exhaustively, each leaf weighted ``2**-(bits drawn)``.
     """
     stack = [()]
     while stack:
@@ -160,10 +160,10 @@ def _enumerate_outcomes(run, max_total_bits: int = 20):
             continue
         if src._pos != len(tape):
             raise RuntimeError(
-                "generator consumed fewer draws than on an earlier replay"
+                "generator made fewer draws than on an earlier replay"
             )
-        consumed = sum(width for width, _ in tape)
-        yield Fraction(1, 1 << consumed), result
+        used = sum(width for width, _ in tape)
+        yield Fraction(1, 1 << used), result
 
 
 def exhaustive_secrecy_check(

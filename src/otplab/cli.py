@@ -16,7 +16,7 @@ from . import analysis, codec, facts, private_object, reduction
 from .bitstring import BitString, bits_from_text
 from .codec import CorruptPadError
 from .facts import ParseError
-from .otp import Pad, decrypt, encrypt, keygen
+from .otp import decrypt, encrypt, keygen
 from .padfile import PadFormatError, read_pad, write_pad
 from .private_object import StatementParseError
 from .rng import MASK64, RandomSource
@@ -52,8 +52,7 @@ def _message_bits(args: argparse.Namespace) -> BitString:
 
 
 def _cmd_keygen(args) -> int:
-    pad = keygen(RandomSource(args.seed), args.bits)
-    write_pad(args.out, pad.bits)
+    write_pad(args.out, keygen(RandomSource(args.seed), args.bits))
     print(f"wrote {args.bits}-bit pad to {args.out}")
     return EXIT_OK
 
@@ -69,15 +68,14 @@ def _cmd_reduce_keygen(args) -> int:
 
 def _cmd_encrypt(args, decrypting: bool = False) -> int:
     message = _message_bits(args)
-    pad_bits = read_pad(args.pad)
+    pad = read_pad(args.pad)
     if args.reduced:
         if args.message_bits is None or args.k is None:
             raise ValueError("--reduced requires --message-bits and --k")
         params = reduction.ReductionParams(args.message_bits, args.k)
         op = reduction.decrypt_reduced if decrypting else reduction.encrypt_reduced
-        print(op(message, pad_bits, params).to01())
+        print(op(message, pad, params).to01())
         return EXIT_OK
-    pad = Pad(bits=pad_bits)
     print((decrypt if decrypting else encrypt)(message, pad).to01())
     return EXIT_OK
 
@@ -102,10 +100,14 @@ def _cmd_po_encode(args) -> int:
 
 
 def _read_lines(path: Optional[str]) -> List[str]:
+    # Bytes, decoded strictly here: input that is not UTF-8 is a data error
+    # from a file and from stdin alike, whatever the locale.
     if path is None:
-        return [line for line in sys.stdin.read().splitlines() if line.strip()]
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in fh.read().splitlines() if line.strip()]
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return [line for line in data.decode("utf-8").splitlines() if line.strip()]
 
 
 def _cmd_po_decode(args) -> int:
@@ -265,7 +267,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PadFormatError, CorruptPadError, ParseError, StatementParseError) as exc:
+    except (PadFormatError, CorruptPadError, ParseError, StatementParseError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

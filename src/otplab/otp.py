@@ -1,57 +1,36 @@
 """Classical one-time-pad encryption: keygen, XOR encrypt, XOR decrypt.
 
-The one-time discipline is advisory: :func:`encrypt` and :func:`decrypt`
-refuse a pad whose ``consumed`` flag is set and set it themselves, but the
-flag is plain data.  Analysis code that deliberately replays pads works on
-raw :class:`~otplab.bitstring.BitString` values instead.
+A pad is a plain :class:`~otplab.bitstring.BitString` of secret bits.
+"One-time" is how a pad is used, not something the value can hold: the
+caller is responsible for using each pad once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .bitstring import BitString, xor
 from .rng import RandomSource
 
 
-class PadReuseError(ValueError):
-    """A pad marked consumed was offered for another operation."""
-
-
-@dataclass
-class Pad:
-    """A shared secret pad with a single-use flag."""
-
-    bits: BitString
-    consumed: bool = field(default=False)
-
-    def _take(self) -> BitString:
-        if self.consumed:
-            raise PadReuseError("pad already consumed; a one-time pad is used once")
-        self.consumed = True
-        return self.bits
-
-
-def keygen(src: RandomSource, n: int) -> Pad:
+def keygen(src: RandomSource, n: int) -> BitString:
     """Generate a fresh n-bit pad (n >= 1) from the given source."""
     if n < 1:
         raise ValueError("pad length must be >= 1")
-    return Pad(bits=src.bits(n))
+    return src.bits(n)
 
 
-def encrypt(message: BitString, pad: Pad) -> BitString:
-    """XOR the message with the pad; marks the pad consumed."""
-    if message.length != pad.bits.length:
+def encrypt(message: BitString, pad: BitString) -> BitString:
+    """XOR the message with the pad."""
+    if message.length != pad.length:
         raise ValueError(
-            f"message is {message.length} bits but pad is {pad.bits.length}"
+            f"message is {message.length} bits but pad is {pad.length}"
         )
-    return xor(message, pad._take())
+    return xor(message, pad)
 
 
-def decrypt(ciphertext: BitString, pad: Pad) -> BitString:
-    """XOR the ciphertext with the pad; marks the pad consumed."""
-    if ciphertext.length != pad.bits.length:
+def decrypt(ciphertext: BitString, pad: BitString) -> BitString:
+    """XOR the ciphertext with the pad."""
+    if ciphertext.length != pad.length:
         raise ValueError(
-            f"ciphertext is {ciphertext.length} bits but pad is {pad.bits.length}"
+            f"ciphertext is {ciphertext.length} bits but pad is {pad.length}"
         )
-    return xor(ciphertext, pad._take())
+    return xor(ciphertext, pad)

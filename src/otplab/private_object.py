@@ -74,17 +74,13 @@ class PrivateObject(abc.ABC):
 class Statement:
     """An assertion that one feature of the object has a particular value.
 
-    Equality and truth are decided by ``(feature_index, claimed_value)``
-    alone; the rendering is display-only.
+    Equality is decided by ``(feature_index, claimed_value)`` alone; the
+    rendering is display-only.
     """
 
     feature_index: int
     claimed_value: int
     rendering: str = field(default="", compare=False)
-
-    def is_true_of(self, obj: PrivateObject) -> bool:
-        obj._check_index(self.feature_index)
-        return obj.feature(self.feature_index) == self.claimed_value
 
 
 class PadObject(PrivateObject):
@@ -132,22 +128,6 @@ class TableObject(PrivateObject):
     def describe(self, index: int, claimed_value: int) -> str:
         name = self._features[index - 1][0]
         return f"'{name}' is {'true' if claimed_value else 'false'}"
-
-
-def demo_object() -> TableObject:
-    """A small fictional creature with eight independent yes/no features."""
-    return TableObject(
-        [
-            ("the creature has three eyes", 1),
-            ("the creature has two hands", 1),
-            ("the creature has four legs", 0),
-            ("the creature has five legs", 1),
-            ("the creature has a tail", 0),
-            ("the creature has wings", 1),
-            ("the creature has horns", 0),
-            ("the creature has fur", 0),
-        ]
-    )
 
 
 def _claims(message: BitString, obj: PrivateObject) -> BitString:

@@ -1,6 +1,7 @@
 from hypothesis import strategies as st
 
 from otplab.bitstring import BitString
+from otplab.private_object import TableObject
 from otplab.reduction import generate_reduced_pad, reserved_pattern
 
 
@@ -37,3 +38,19 @@ def reserved_tail_mutant(params, src):
     if pad.length == params.n:
         return pad[: params.n - params.k] + reserved_pattern(params, 1)
     return pad
+
+
+def demo_object():
+    """A small fictional creature with eight independent yes/no features."""
+    return TableObject(
+        [
+            ("the creature has three eyes", 1),
+            ("the creature has two hands", 1),
+            ("the creature has four legs", 0),
+            ("the creature has five legs", 1),
+            ("the creature has a tail", 0),
+            ("the creature has wings", 1),
+            ("the creature has horns", 0),
+            ("the creature has fur", 0),
+        ]
+    )

@@ -26,7 +26,7 @@ from otplab.facts import (
     is_theorem,
     parse_pq,
 )
-from otplab.otp import Pad, decrypt, encrypt
+from otplab.otp import decrypt, encrypt
 from otplab.private_object import PadObject, encode_statements, verify_statements
 from otplab.reduction import (
     ReductionParams,
@@ -50,10 +50,10 @@ def _report(num, label, ok, elapsed):
 def test_criterion_1_worked_example_fidelity():
     m = BitString("0010110101")
     k = BitString("1011001001")
-    encrypt(m, Pad(k))  # warm-up
+    encrypt(m, k)  # warm-up
     start = time.perf_counter()
-    c = encrypt(m, Pad(k))
-    back = decrypt(c, Pad(k))
+    c = encrypt(m, k)
+    back = decrypt(c, k)
     elapsed = time.perf_counter() - start
     ok = c == BitString("1001111100") and back == m and elapsed < 0.001
     _report(1, "worked-example fidelity", ok, elapsed)

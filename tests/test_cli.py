@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -468,6 +471,44 @@ def test_po_decode_reports_the_first_faulty_line(capsys, tmp_path):
                          "--in", str(stmts))
     assert (code, out) == (3, "")
     assert "feature index 5 outside 1..4" in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("by_file", [True, False], ids=["file", "stdin"])
+@pytest.mark.parametrize("command", ["po-decode", "facts-decode"])
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_non_utf8_input_is_exit_3(pad_file, tmp_path, locale, command, by_file):
+    # Wire input is decoded strictly as UTF-8 whatever the locale, so the
+    # same undecodable bytes are a data error from a file and from stdin.
+    data = tmp_path / "bad.txt"
+    data.write_bytes(b"\xff 1\n")
+    argv = [sys.executable, "-m", "otplab.cli", command]
+    if command == "po-decode":
+        argv += ["--pad", pad_file]
+    if by_file:
+        argv += ["--in", str(data)]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL=locale, PYTHONPATH=path)
+    with open(data, "rb") as stdin:
+        proc = subprocess.run(argv, stdin=stdin, capture_output=True, env=env,
+                              timeout=60)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unreadable_input_and_unwritable_out_are_exit_3(capsys, pad_file, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "po-decode", "--pad", pad_file, "--in", missing)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    code, out, err = run(capsys, "keygen", "--bits", "8", "--seed", "1",
+                         "--out", str(tmp_path / "no-such-dir" / "pad.otpd"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("bound", [MAX_SIZE_BOUND + 1, 10**121])

@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from otplab.bitstring import BitString, xor
-from otplab.otp import Pad, encrypt
+from otplab.otp import encrypt
 from otplab.private_object import (
     PadObject,
     Statement,
     StatementParseError,
     TableObject,
     decode_lines,
-    demo_object,
     encode_lines,
     encode_statements,
     statement_from_line,
@@ -18,7 +17,12 @@ from otplab.private_object import (
 )
 from otplab.rng import RandomSource
 
-from conftest import MALFORMED_STATEMENT_LINES, bitstrings, equal_length_pairs
+from conftest import (
+    MALFORMED_STATEMENT_LINES,
+    bitstrings,
+    demo_object,
+    equal_length_pairs,
+)
 
 PAD = BitString("1011001001")
 MSG = BitString("0010110101")
@@ -54,16 +58,10 @@ def test_worked_example_claimed_values():
     assert stmts[0].rendering == "bit 1 of the OTP is 1"
 
 
-def test_statement_truth_against_pad():
-    obj = PadObject(PAD)
-    assert Statement(1, 1).is_true_of(obj)
-    assert not Statement(10, 0).is_true_of(obj)
-
-
 def test_all_zero_message_makes_true_statements():
     obj = PadObject(PAD)
     stmts = encode_statements(BitString.zeros(10), obj)
-    assert all(s.is_true_of(obj) for s in stmts)
+    assert verify_statements(stmts, obj) == BitString.zeros(10)
     assert BitString(s.claimed_value for s in stmts) == PAD
 
 
@@ -89,7 +87,7 @@ def test_claimed_values_equal_xor_ciphertext(pair):
     stmts = encode_statements(m, PadObject(pad))
     claimed = BitString(s.claimed_value for s in stmts)
     assert claimed == xor(m, pad)
-    assert claimed == encrypt(m, Pad(pad))
+    assert claimed == encrypt(m, pad)
 
 
 @given(equal_length_pairs(min_len=0, max_len=64))
