@@ -1,8 +1,8 @@
 """Secrecy and reduction verification: exact at tiny sizes, statistical at scale.
 
-The exact checker enumerates *every* outcome of the pad-generation process
-(each coin value, each random bit) with exact rational probabilities and
-demands that the completed pad be uniform as a rational identity, zero
+The exact checker runs the pad-generation process on *every* tape of random
+bits it can draw (each coin value, each random bit), counts the completed
+pads in integers and demands that every count be exactly equal, zero
 tolerance.  Uniformity of the completed pad makes the ciphertext
 distribution message-independent, which is the whole secrecy claim.
 
@@ -18,7 +18,7 @@ so a failing check can be read directly off its output.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -105,65 +105,40 @@ class SecrecyReport:
         return "\n".join(self.to_lines())
 
 
-class _NeedBits(Exception):
-    def __init__(self, width: int) -> None:
-        self.width = width
+class _TapeTooShort(Exception):
+    """Raised with the number of bits a run drew past the end of its tape."""
 
 
-class _TapeSource:
-    """Feeds a generator a planned sequence of draws.
+class _IntTape:
+    """Serves ``bits(n)`` from one ``width``-bit integer, MSB first; quacks
+    like :class:`RandomSource` for code that only calls ``bits``."""
 
-    Quacks like :class:`RandomSource` for code that only calls ``bits``;
-    raising :class:`_NeedBits` tells the enumerator to branch on a fresh
-    draw of the requested width.
-    """
-
-    def __init__(self, tape: Tuple[Tuple[int, int], ...]) -> None:
-        self._tape = tape
-        self._pos = 0
+    def __init__(self, value: int, width: int) -> None:
+        self._value = value
+        self._left = width  # bits not yet served
 
     def bits(self, n: int) -> BitString:
-        if n == 0:
-            return BitString.from_int(0, 0)
-        if self._pos == len(self._tape):
-            raise _NeedBits(n)
-        width, value = self._tape[self._pos]
-        if width != n:
-            raise RuntimeError(
-                "draw widths must be a deterministic function of prior draws"
-            )
-        self._pos += 1
-        return BitString.from_int(value, n)
+        self._left -= n
+        if self._left < 0:
+            raise _TapeTooShort(-self._left)
+        head, self._value = divmod(self._value, 1 << self._left)
+        return BitString.from_int(head, n)
 
 
-def _enumerate_outcomes(run, max_total_bits: int = 20):
-    """Yield ``(probability, result)`` over every random outcome of ``run``.
+def _count_outcomes(run, max_total_bits: int = 20) -> Tuple[Counter, int]:
+    """Count ``run``'s results over all ``2**w`` tapes; return them and ``w``.
 
-    ``run`` takes a source and may only draw through ``bits``; the draw tree
-    is explored exhaustively, each leaf weighted ``2**-(bits drawn)``.
+    ``run`` takes a source and may only draw through ``bits``; ``w`` grows to
+    the most bits any run draws.  Disjoint slices of a uniform tape are
+    independent and uniform, so each result has probability ``count / 2**w``.
     """
-    stack = [()]
-    while stack:
-        tape = stack.pop()
-        src = _TapeSource(tape)
+    w = 0
+    while w <= max_total_bits:
         try:
-            result = run(src)
-        except _NeedBits as need:
-            used = sum(width for width, _ in tape)
-            if used + need.width > max_total_bits:
-                raise ValueError(
-                    "generator draws too many bits for exact enumeration"
-                ) from None
-            stack.extend(
-                tape + ((need.width, value),) for value in range(1 << need.width)
-            )
-            continue
-        if src._pos != len(tape):
-            raise RuntimeError(
-                "generator made fewer draws than on an earlier replay"
-            )
-        used = sum(width for width, _ in tape)
-        yield Fraction(1, 1 << used), result
+            return Counter(run(_IntTape(t, w)) for t in range(1 << w)), w
+        except _TapeTooShort as short:
+            w += short.args[0]
+    raise ValueError("generator draws too many bits for exact enumeration")
 
 
 def exhaustive_secrecy_check(
@@ -175,29 +150,28 @@ def exhaustive_secrecy_check(
     ``generator`` can be substituted to demonstrate that broken protocols
     fail the check.
     """
-    if params.n > 4:
+    n = params.n
+    if n > 4:
         raise ValueError("exact enumeration is limited to n <= 4")
     gen = generator if generator is not None else generate_reduced_pad
 
     def run(src) -> int:
         return effective_pad(gen(params, src), params).value
 
-    dist: Dict[int, Fraction] = defaultdict(lambda: Fraction(0))
-    for prob, value in _enumerate_outcomes(run):
-        dist[value] += prob
-    uniform = Fraction(1, 1 << params.n)
-    deviation = max(
-        abs(dist.get(value, Fraction(0)) - uniform)
-        for value in range(1 << params.n)
+    counts, w = _count_outcomes(run)
+    # |count / 2**w - 2**-n| on one denominator, which also holds for w < n
+    deviation = Fraction(
+        max(abs((counts[v] << n) - (1 << w)) for v in range(1 << n)),
+        1 << (w + n),
     )
     return SecrecyReport(
         mode="exact",
-        n=params.n,
+        n=n,
         k=params.k,
         passed=deviation == 0,
         deviation=deviation,
         threshold=Fraction(0),
-        probabilities=dict(dist),
+        probabilities={v: Fraction(c, 1 << w) for v, c in counts.items()},
     )
 
 
@@ -239,14 +213,14 @@ def distinguisher_test(
             src = RandomSource(derive_child_seed(cfg.seed, t))
             hist0[m0 ^ effective_pad(generator(params, src), params).value] += 1
             hist1[m1 ^ effective_pad(generator(params, src), params).value] += 1
-    tv = Fraction(sum(abs(a - b) for a, b in zip(hist0, hist1)), 2 * cfg.trials)
+    tv = sum(abs(a - b) for a, b in zip(hist0, hist1)) / (2 * cfg.trials)
     threshold = 3.0 * math.sqrt((1 << n) / cfg.trials)
     return SecrecyReport(
         mode="statistical",
         n=n,
         k=params.k,
-        passed=float(tv) < threshold,
-        deviation=float(tv),
+        passed=tv < threshold,
+        deviation=tv,
         threshold=threshold,
         trials=cfg.trials,
         counts=(list(hist0), list(hist1)),

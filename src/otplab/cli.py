@@ -17,7 +17,7 @@ from .bitstring import BitString, bits_from_text
 from .codec import CorruptPadError
 from .facts import ParseError
 from .otp import decrypt, encrypt, keygen
-from .padfile import PadFormatError, read_pad, write_pad
+from .padfile import MAX_BITS, PadFormatError, read_pad, write_pad
 from .private_object import StatementParseError
 from .rng import MASK64, RandomSource
 
@@ -30,6 +30,15 @@ def _seed(text: str) -> int:
     value = int(text)  # argparse reports a non-integer itself
     if not 0 <= value <= MASK64:
         raise argparse.ArgumentTypeError(f"{value} outside 0..2**64-1")
+    return value
+
+
+def _bit_count(text: str) -> int:
+    # The lower bound stays with the library, which words its own message.
+    value = int(text)
+    if value > MAX_BITS:
+        raise argparse.ArgumentTypeError(
+            f"{value} bits exceeds the OTPD limit of 2**64-1")
     return value
 
 
@@ -183,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a pad file")
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=_bit_count, required=True)
     _add_seed(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("reduce-keygen",
                        help="generate a (possibly shorter) transmitted pad")
-    p.add_argument("--message-bits", type=int, required=True)
+    p.add_argument("--message-bits", type=_bit_count, required=True)
     p.add_argument("--k", type=int, required=True)
     _add_seed(p)
     p.add_argument("--out", required=True)
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pad-decompress", help="restore a compressed pad")
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--message-length", type=int, required=True)
+    p.add_argument("--message-length", type=_bit_count, required=True)
     p.set_defaults(func=_cmd_pad_decompress)
 
     p = sub.add_parser("po-encode",

@@ -19,6 +19,7 @@ from .bitstring import BitString
 
 MAGIC = b"OTPD"
 _HEADER_LEN = len(MAGIC) + 8
+MAX_BITS = (1 << 64) - 1  # the largest bit count the 8-byte header holds
 
 
 class PadFormatError(ValueError):

@@ -1,8 +1,10 @@
+import functools
+
 from hypothesis import strategies as st
 
 from otplab.bitstring import BitString
 from otplab.private_object import TableObject
-from otplab.reduction import generate_reduced_pad, reserved_pattern
+from otplab.reduction import allowed_tails, generate_reduced_pad, reserved_pattern
 
 
 # Statement lines that must not parse: statement_to_line writes an unsigned
@@ -38,6 +40,52 @@ def reserved_tail_mutant(params, src):
     if pad.length == params.n:
         return pad[: params.n - params.k] + reserved_pattern(params, 1)
     return pad
+
+
+def _full_length_mutant(full_value):
+    """Generator that draws like generate_reduced_pad, except that a
+    full-length pad's value is ``full_value(params, src, t)`` for coin t."""
+    @functools.wraps(full_value)
+    def generate(params, src):
+        t = src.bits(params.k).value
+        if t < params.k:
+            return src.bits(params.n - (t + 1))
+        return BitString.from_int(full_value(params, src, t), params.n)
+    return generate
+
+
+@_full_length_mutant
+def clamped_tail_mutant(params, src, t):
+    """Off-by-one tail index clamped at 0: ``allowed[max(t - k - 1, 0)]``.
+    The last allowed tail never occurs once there are two of them."""
+    head = src.bits(params.n - params.k).value
+    return head << params.k | allowed_tails(params)[max(t - params.k - 1, 0)]
+
+
+@_full_length_mutant
+def wrapped_tail_mutant(params, src, t):
+    """Off-by-one tail index that wraps: ``allowed[t - k - 1]`` is still a
+    permutation of the allowed tails, so this mutant is equivalent."""
+    head = src.bits(params.n - params.k).value
+    return head << params.k | allowed_tails(params)[t - params.k - 1]
+
+
+@_full_length_mutant
+def coin_head_mutant(params, src, t):
+    """The coin reused as a full-length pad's head instead of fresh bits."""
+    return t << params.k | allowed_tails(params)[t - params.k]
+
+
+def last_bits_completion_mutant(pad, params):
+    """``effective_pad`` keeping a short pad's *last* n - k bits instead of
+    its first.  Every bit of a short pad is uniform, so this mutant is
+    equivalent: no check on the completed pad can reject it."""
+    n, k = params.n, params.k
+    if pad.length == n:
+        return pad
+    head = pad.value & ((1 << (n - k)) - 1)
+    tail = reserved_pattern(params, n - pad.length).value
+    return BitString.from_int(head << k | tail, n)
 
 
 def demo_object():

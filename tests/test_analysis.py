@@ -4,6 +4,7 @@ import pytest
 
 from otplab.analysis import (
     TrialConfig,
+    _count_outcomes,
     distinguisher_test,
     eve_guess_rate,
     exhaustive_secrecy_check,
@@ -17,7 +18,13 @@ from otplab.reduction import (
     max_k,
 )
 
-from conftest import reserved_tail_mutant
+from conftest import (
+    clamped_tail_mutant,
+    coin_head_mutant,
+    last_bits_completion_mutant,
+    reserved_tail_mutant,
+    wrapped_tail_mutant,
+)
 
 
 def biased_generator(params, src):
@@ -71,17 +78,40 @@ def test_exact_tail_marginal_at_protocol_scale():
     # Full enumeration of a 10-bit pad is out of reach, but the k-bit tail
     # marginal of the completed pad can still be enumerated exactly: every
     # 2-bit tail must carry probability exactly 1/4.
-    from otplab.analysis import _enumerate_outcomes
-
     params = ReductionParams(10, 2)
 
     def run(src):
         return effective_pad(generate_reduced_pad(params, src), params).value & 0b11
 
-    dist = {}
-    for prob, tail in _enumerate_outcomes(run):
-        dist[tail] = dist.get(tail, Fraction(0)) + prob
+    counts, width = _count_outcomes(run)
+    dist = {tail: Fraction(c, 1 << width) for tail, c in counts.items()}
     assert dist == {tail: Fraction(1, 4) for tail in range(4)}
+
+
+def test_exact_enumeration_of_an_adaptive_draw_sequence():
+    # The width of the second draw depends on the first: one more bit after
+    # a 1, three after a 0.
+    def run(src):
+        first = src.bits(1)
+        return first.to01() + src.bits(1 if first.value else 3).to01()
+
+    counts, width = _count_outcomes(run)
+    dist = {result: Fraction(c, 1 << width) for result, c in counts.items()}
+    assert dist == {**{f"1{b}": Fraction(1, 4) for b in "01"},
+                    **{f"0{v:03b}": Fraction(1, 16) for v in range(8)}}
+
+
+def test_exact_enumeration_of_a_run_without_draws():
+    assert _count_outcomes(lambda src: "constant") == ({"constant": 1}, 0)
+
+
+def test_exact_check_refuses_a_generator_past_the_bit_budget():
+    def greedy_generator(params, src):
+        src.bits(21)
+        return generate_reduced_pad(params, src)
+
+    with pytest.raises(ValueError, match="draws too many bits"):
+        exhaustive_secrecy_check(ReductionParams(2, 1), generator=greedy_generator)
 
 
 def test_mutated_protocol_fails_exact_check():
@@ -89,6 +119,35 @@ def test_mutated_protocol_fails_exact_check():
                                       generator=reserved_tail_mutant)
     assert not report.passed
     assert report.deviation > 0
+
+
+# Exact deviation of each mutant at the grid points where it fails; it must
+# pass everywhere else.
+MUTANT_FAILURES = [
+    (clamped_tail_mutant, {(4, 2): Fraction(1, 16)}),
+    (coin_head_mutant, {(2, 1): Fraction(1, 4), (3, 1): Fraction(3, 8),
+                        (4, 1): Fraction(7, 16), (4, 2): Fraction(3, 16)}),
+    (wrapped_tail_mutant, {}),
+]
+
+
+@pytest.mark.parametrize("params", list(_valid_small_params()),
+                         ids=lambda p: f"n{p.n}k{p.k}")
+@pytest.mark.parametrize("mutant, failures", MUTANT_FAILURES,
+                         ids=[m.__name__ for m, _ in MUTANT_FAILURES])
+def test_mutant_exact_verdicts(mutant, failures, params):
+    report = exhaustive_secrecy_check(params, generator=mutant)
+    deviation = failures.get((params.n, params.k), Fraction(0))
+    assert (report.passed, report.deviation) == (deviation == 0, deviation)
+
+
+@pytest.mark.parametrize("params", list(_valid_small_params()),
+                         ids=lambda p: f"n{p.n}k{p.k}")
+def test_completion_from_last_bits_is_an_equivalent_mutant(monkeypatch, params):
+    monkeypatch.setattr("otplab.analysis.effective_pad",
+                        last_bits_completion_mutant)
+    report = exhaustive_secrecy_check(params)
+    assert (report.passed, report.deviation) == (True, 0)
 
 
 def test_exact_check_rejects_large_n():

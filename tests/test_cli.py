@@ -407,6 +407,30 @@ def test_seed_at_64_bit_ends_is_accepted(capsys, tmp_path, command, seed):
     assert out
 
 
+SIZE_COMMANDS = {
+    "keygen --bits": ["keygen", "--seed", "1", "--bits"],
+    "reduce-keygen --message-bits": ["reduce-keygen", "--k", "1", "--seed",
+                                     "1", "--message-bits"],
+    "pad-decompress --message-length": ["pad-decompress", "--in",
+                                        "{tmp}/small.otpd", "--message-length"],
+}
+
+
+@pytest.mark.parametrize("size", [2**64, 10**30])
+@pytest.mark.parametrize("command", sorted(SIZE_COMMANDS))
+def test_size_past_the_otpd_header_is_exit_2(capsys, tmp_path, command, size):
+    # The OTPD header stores the bit count in 8 bytes.
+    write_pad(tmp_path / "small.otpd", BitString("101"))
+    argv = [a.format(tmp=tmp_path) for a in SIZE_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(size), "--out", str(tmp_path / "pad.otpd")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{size} bits exceeds the OTPD limit of 2**64-1" in captured.err
+    assert not (tmp_path / "pad.otpd").exists()
+
+
 def test_bad_k_is_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "reduction", "--n", "10", "--k", "4",
                        "--trials", "10")
