@@ -19,59 +19,24 @@ Shared trial contract (one independent child stream per trial index):
 * eve trial:       4 words -> message, pad coin, pad bits, Eve's guess
 * distinguisher:   4 words -> two pads (coin + bits each)
 
-The distinguisher completes a pad from one table: whatever the coin, the
-head is the first ``n - k`` bits of the pad word, and the coin alone picks
-the k-bit tail (``P_(coin+1)`` for a short pad, else an allowed tail).
-
-Packed lanes (distinguisher and reduction).  These kernels run many trials at
-once in one Python ``int``: trial ``t0 + i`` owns the 128-bit lane ``i`` (bits
-``128*i .. 128*i + 127``), its 64-bit SplitMix64 state in the low half.
-With ``ones`` holding 1 in every lane and ``ramp`` holding ``i`` in lane
-``i``, the child seeds of a chunk are
-``((ramp*GAMMA + ((GAMMA*(t0+1)) mod 2**64)*ones) & mask) ^ seed*ones``, and
-each SplitMix64 step is a handful of adds, shifts, XORs and ANDs over all
-lanes.  Two pitfalls:
-
-* A right shift pulls the low bits of lane ``i + 1`` into the high half of
-  lane ``i``, and a product fills it, so every multiply is preceded and
-  followed by an AND with the lane mask.  A masked lane times a 64-bit
-  constant is under ``2**128`` and never carries into the next lane.
-* Multiply a packed int only by a 64-bit constant, which is linear in its
-  size; a product of two packed ints would be a Karatsuba multiplication.
-
-``_lane_chunks`` builds these lane constants and the seeds of every chunk
-for both packed kernels.
-
-Neither kernel finishes a trial in the lanes; each histograms a small key
-read from the low word of every lane (through a ``memoryview``) with a
-``Counter`` and maps each distinct key once:
-
-* distinguisher: the n-bit key ``(head << k) | coin`` goes through the
-  ``tail_of`` table at the end, so the completion rule lives in one place.
-* reduction: the k-bit coin ``(w & mask) >> (64 - k)`` (masking first drops
-  the next lane's bits) maps to its length index.  Each chunk's ``Counter``
-  is folded into the counts at once, so at most one chunk of coins is held.
-
-A chunk is ``_CHUNK = 2048`` lanes, a 32 KiB int: larger chunks were no
-faster and only grew the working set.
+The distinguisher and reduction kernels step ``_CHUNK`` trials at once in
+the packed lanes explained in :mod:`otplab.rng`, lane ``i`` starting at the
+child seed of trial ``t0 + i``, and count a small key from each lane's low
+word with a ``Counter``: a reduction coin maps to its length index, and the
+distinguisher's ``(head << k) | coin`` goes through one ``tail_of`` table, as
+the coin alone picks the completed tail (``P_(coin+1)`` or an allowed tail).
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from typing import Iterator, List, Tuple
 
 from .reduction import ReductionParams, allowed_tails, reserved_pattern
-from .rng import MASK64, _GAMMA, _MIX1, _MIX2, derive_child_seed, splitmix64_next
+from .rng import (MASK64, _CHUNK, _GAMMA, _lane_constants, _low_words,
+                  _splitmix64_lanes, derive_child_seed, splitmix64_next)
 
 IMPL_NAME = "pure"
-
-_LANE_BYTES = 16  # one lane: a 64-bit word times a 64-bit constant fits
-_ONE_LANE = (1).to_bytes(_LANE_BYTES, "little")
-_CHUNK = 2048  # lanes per packed int; see the module docstring
-# Index of a lane's low 64-bit word among the native words of its bytes.
-_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 def available_impls() -> tuple:
@@ -88,49 +53,20 @@ def _params(n: int, k: int) -> ReductionParams:
     return params
 
 
-def _splitmix64_lanes(state: int, gamma: int, mask: int) -> Tuple[int, int]:
-    """:func:`~otplab.rng.splitmix64_next` on every lane of ``state``.
-
-    Lanes of the output word carry bits of the next lane above bit 64; the
-    caller masks them off.
-    """
-    state = (state + gamma) & mask
-    z = ((state ^ (state >> 30)) & mask) * _MIX1 & mask
-    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-    return z ^ (z >> 31), state
-
-
 def _lane_chunks(seed: int, trials: int, *values: int) -> Iterator[tuple]:
-    """Trials ``0 .. trials - 1`` in packed chunks of at most ``_CHUNK`` lanes.
-
-    Yields ``(lanes, state, gamma, mask, *replicated)`` per chunk: lane ``i``
-    of ``state`` holds ``derive_child_seed(seed, t0 + i)``, ``gamma`` and
-    ``mask`` hold the SplitMix64 increment and ``MASK64`` in every lane, and
-    each of ``values`` comes back with a copy in every lane.  The lane
-    constants are built for the first chunk and rebuilt for a short last one.
-    """
+    """Yields ``(lanes, state, gamma, mask, *replicated)`` per chunk of
+    trials: lane ``i`` of ``state`` holds ``derive_child_seed(seed, t0 + i)``
+    and each of ``values`` comes back with a copy in every lane."""
     seed &= MASK64
     lanes = 0
     for t0 in range(0, trials, _CHUNK):
         if lanes != min(_CHUNK, trials - t0):
             lanes = min(_CHUNK, trials - t0)
-            ones = int.from_bytes(_ONE_LANE * lanes, "little")
-            ramp_gamma = _GAMMA * int.from_bytes(
-                b"".join(i.to_bytes(_LANE_BYTES, "little") for i in range(lanes)),
-                "little",
-            )
-            mask = MASK64 * ones
-            gamma = _GAMMA * ones
+            ones, ramp, mask, gamma = _lane_constants(lanes)
             seeds = seed * ones
             replicated = [v * ones for v in values]
-        state = (ramp_gamma + ((_GAMMA * (t0 + 1)) & MASK64) * ones) & mask
+        state = (ramp + ((_GAMMA * (t0 + 1)) & MASK64) * ones) & mask
         yield (lanes, state ^ seeds, gamma, mask, *replicated)
-
-
-def _low_words(packed: int, lanes: int) -> memoryview:
-    """The low 64-bit word of each of the ``lanes`` lanes of ``packed``."""
-    words = memoryview(packed.to_bytes(_LANE_BYTES * lanes, sys.byteorder))
-    return words.cast("Q")[_LOW_WORD::2]
 
 
 def census_counts(n: int) -> List[int]:

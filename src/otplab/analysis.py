@@ -34,7 +34,8 @@ from .reduction import (
 from .rng import RandomSource, derive_child_seed
 
 # Draws one transmitted pad; its length is the secret transmitted length.
-PadGenerator = Callable[[ReductionParams, RandomSource], BitString]
+# Quoted: typing caches subscripts, so a class would outlive a re-import.
+PadGenerator = Callable[["ReductionParams", "RandomSource"], "BitString"]
 
 
 @dataclass(frozen=True)

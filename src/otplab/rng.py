@@ -22,10 +22,26 @@ Draw discipline (part of the pinned contract, mirrored by the pure-Python
 A RandomSource is single-owner: concurrent draws from one source are
 forbidden.  Parallel work derives independent child seeds instead, see
 :func:`derive_child_seed`.
+
+Packed lanes.  SplitMix64 is counter-based: from state ``s``, word ``j``
+mixes ``s + (j + 1)*GAMMA``.  ``bits(n)`` for ``n > 64`` and the packed
+kernels therefore step up to ``_CHUNK = 2048`` states at once in one 32 KiB
+``int`` (larger chunks were no faster): state ``i`` owns the low half of the
+128-bit lane ``i``, and :func:`_splitmix64_lanes` is a handful of adds,
+shifts, XORs and ANDs over all lanes.  Two pitfalls:
+
+* A right shift pulls the low bits of lane ``i + 1`` into the high half of
+  lane ``i``, and a product fills it, so every multiply is preceded and
+  followed by an AND with the lane mask.  A masked lane times a 64-bit
+  constant is under ``2**128`` and never carries into the next lane.
+* Multiply a packed int only by a 64-bit constant, which is linear in its
+  size; a product of two packed ints would be a Karatsuba multiplication.
 """
 
 from __future__ import annotations
 
+import sys
+from functools import cache
 from typing import Tuple
 
 from .bitstring import BitString
@@ -37,6 +53,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+_LANE_BYTES = 16  # one lane: a 64-bit word times a 64-bit constant fits
+_CHUNK = 2048  # lanes per packed int, a power of two
+_LOW_WORD = int(sys.byteorder == "big")  # which native word of a lane is low
+
 
 def splitmix64_next(state: int) -> Tuple[int, int]:
     """One SplitMix64 step: return ``(output_word, next_state)``."""
@@ -45,6 +65,40 @@ def splitmix64_next(state: int) -> Tuple[int, int]:
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return z ^ (z >> 31), state
+
+
+def _splitmix64_lanes(state: int, gamma: int, mask: int) -> Tuple[int, int]:
+    """:func:`splitmix64_next` on every lane of ``state``; each output lane
+    carries bits of the next lane above bit 64, for the caller to drop."""
+    state = (state + gamma) & mask
+    z = ((state ^ (state >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    return z ^ (z >> 31), state
+
+
+@cache  # built on first use, not at import
+def _chunk_constants() -> Tuple[int, int, int, int]:
+    ones, ramp, lanes = 1, 0, 1
+    while lanes < _CHUNK:  # double: lane i + lanes gets i + lanes
+        ramp |= (ramp + lanes * ones) << 128 * lanes
+        ones |= ones << 128 * lanes
+        lanes *= 2
+    return ones, _GAMMA * ramp, MASK64 * ones, _GAMMA * ones
+
+
+def _lane_constants(lanes: int) -> Tuple[int, int, int, int]:
+    """``(ones, ramp, mask, gamma)``: 1, ``i*GAMMA``, ``MASK64``, ``GAMMA``."""
+    ones, ramp, mask, gamma = _chunk_constants()
+    if lanes == _CHUNK:
+        return ones, ramp, mask, gamma
+    low = (1 << 128 * lanes) - 1
+    return ones & low, ramp & low, mask & low, gamma & low
+
+
+def _low_words(packed: int, lanes: int) -> memoryview:
+    """The low 64-bit word of each of the ``lanes`` lanes of ``packed``."""
+    words = memoryview(packed.to_bytes(_LANE_BYTES * lanes, sys.byteorder))
+    return words.cast("Q")[_LOW_WORD::2]
 
 
 def derive_child_seed(seed: int, index: int) -> int:
@@ -83,16 +137,25 @@ class RandomSource:
         if n <= 64:
             word, self._state = splitmix64_next(self._state)
             return BitString.from_int(word >> (64 - n), n)
-        # Pack the words into one buffer and convert once: shifting a growing
-        # integer per word would make the draw quadratic in n.
+        # Packed lanes (module docstring) into one buffer converted once:
+        # shifting a growing int per chunk would make the draw quadratic.
         nwords = (n + 63) // 64
-        buf = bytearray()
+        try:
+            out = memoryview(bytearray(8 * nwords)).cast("Q")
+        except MemoryError:
+            raise ValueError(f"{n} random bits do not fit in memory") from None
         state = self._state
-        for _ in range(nwords):
-            word, state = splitmix64_next(state)
-            buf += word.to_bytes(8, "big")
-        self._state = state
-        value = int.from_bytes(buf, "big") >> (64 * nwords - n)
+        for w0 in range(0, nwords, _CHUNK):
+            lanes = min(_CHUNK, nwords - w0)
+            ones, ramp, mask, gamma = _lane_constants(lanes)
+            base = (state + _GAMMA * w0) & MASK64  # lane i: base + i*GAMMA
+            words, _ = _splitmix64_lanes((ramp + base * ones) & mask, gamma, mask)
+            # Big-endian bytes end with lane 0's low word: every other 8-byte
+            # word, read backwards, is the chunk's output in order.
+            lows = memoryview(words.to_bytes(_LANE_BYTES * lanes, "big"))
+            out[w0:w0 + lanes] = lows.cast("Q")[::-2]
+        self._state = (state + _GAMMA * nwords) & MASK64
+        value = int.from_bytes(out, "big") >> (64 * nwords - n)
         return BitString.from_int(value, n)
 
     def randbelow(self, n: int) -> int:

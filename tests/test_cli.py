@@ -1,5 +1,6 @@
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -522,6 +523,48 @@ def test_non_utf8_input_is_exit_3(pad_file, tmp_path, locale, command, by_file):
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--bits", "100000000000000", "--seed", "1"],
+    ["reduce-keygen", "--message-bits", "18446744073709551615", "--k", "1",
+     "--seed", "1"],
+], ids=["keygen", "reduce-keygen"])
+def test_draw_past_memory_is_exit_2(tmp_path, argv):
+    # Under a 1 GB address-space limit the draw's output buffer cannot be
+    # allocated up front, so the command stops at once with one error line
+    # instead of drawing words until memory runs out.
+    argv = [sys.executable, "-m", "otplab.cli", *argv,
+            "--out", str(tmp_path / "pad.otpd")]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(argv, capture_output=True, timeout=5,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_limit_address_space)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (2, b""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "random bits do not fit in memory" in err
+    assert not (tmp_path / "pad.otpd").exists()
+
+
+def test_multi_chunk_pad_files_are_pinned(capsys, tmp_path):
+    # Digests taken from the one-call-per-word draw; both pads span many
+    # packed chunks of 2048 words.
+    pad = tmp_path / "pad.otpd"
+    code, _, _ = run(capsys, "keygen", "--bits", "4000000", "--seed", "1",
+                     "--out", str(pad))
+    assert code == 0 and pad.stat().st_size == 500_012
+    assert hashlib.sha256(pad.read_bytes()).hexdigest() == (
+        "2ef6879f47e461cd0f6e45aea0b7d4c797cd39a0a7ce47b66eb0f24cc24b681a")
+    code, out, _ = run(capsys, "reduce-keygen", "--message-bits", "1000003",
+                       "--k", "3", "--seed", "1", "--out", str(pad))
+    assert code == 0 and out.splitlines()[0] == "sampled length 1000003"
+    assert hashlib.sha256(pad.read_bytes()).hexdigest() == (
+        "98bdcd772ecbd94bf5ac4dccff5f7a6b1cd1ee896ff02c31f22f61a8712cd409")
 
 
 def test_unreadable_input_and_unwritable_out_are_exit_3(capsys, pad_file, tmp_path):

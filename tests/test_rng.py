@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otplab.bitstring import BitString
-from otplab.rng import MASK64, RandomSource, derive_child_seed, splitmix64_next
+from otplab.rng import (
+    _CHUNK,
+    MASK64,
+    RandomSource,
+    derive_child_seed,
+    splitmix64_next,
+)
 
 # Reference outputs of the canonical splitmix64.c, frozen from a C run.
 CANONICAL_WORDS = {
@@ -60,7 +68,9 @@ def test_bits_zero_consumes_nothing():
 
 def test_bits_word_discipline():
     # bits(n) consumes ceil(n/64) words, MSB-first, truncated to n bits.
-    for n in (1, 13, 63, 64, 65, 130, 4096, 4097, 100_003):
+    # The sizes past 100_003 sit on both sides of one and two packed chunks.
+    for n in (1, 13, 63, 64, 65, 130, 4096, 4097, 100_003, 64 * _CHUNK - 1,
+              64 * _CHUNK, 64 * _CHUNK + 1, 2 * 64 * _CHUNK + 5):
         src = RandomSource(7)
         got = src.bits(n)
         ref = RandomSource(7)
@@ -70,6 +80,39 @@ def test_bits_word_discipline():
             acc = (acc << 64) | ref.next_word()
         assert got.value == acc >> (64 * nwords - n)
         assert len(got) == n
+        assert src.next_word() == ref.next_word()  # no word more or less
+
+
+def _scalar_bits(state, n):
+    # Reference: one splitmix64_next call per word, MSB-first, truncated.
+    nwords = (n + 63) // 64
+    acc = 0
+    for _ in range(nwords):
+        word, state = splitmix64_next(state)
+        acc = (acc << 64) | word
+    return acc >> (64 * nwords - n), state
+
+
+_DRAW = st.one_of(
+    st.tuples(st.just("bits"), st.integers(0, 3 * 64 * _CHUNK)),
+    st.tuples(st.just("bits"), st.integers(0, 64)),
+    st.tuples(st.just("word"), st.just(64)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, MASK64), st.lists(_DRAW, min_size=1, max_size=6))
+def test_interleaved_draws_match_scalar_replay(seed, draws):
+    src = RandomSource(seed)
+    state = seed
+    for kind, n in draws:
+        got = src.bits(n) if kind == "bits" else src.next_word()
+        value, state = _scalar_bits(state, n)
+        if kind == "bits":
+            assert (got.value, len(got)) == (value, n)
+        else:
+            assert got == value
+        assert src._state == state
 
 
 def test_bits_rejects_negative():
