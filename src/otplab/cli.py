@@ -127,11 +127,8 @@ def _cmd_po_decode(args) -> int:
 
 
 def _cmd_facts_encode(args) -> int:
-    message = _message_bits(args)
     src = RandomSource(args.seed)
-    sys.stdout.write("".join(
-        facts.encode_bit(bit, src, args.size_bound) + "\n" for bit in message
-    ))
+    sys.stdout.write(facts.encode_lines(_message_bits(args), src, args.size_bound))
     return EXIT_OK
 
 

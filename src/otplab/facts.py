@@ -18,13 +18,14 @@ procedure :func:`is_theorem` uses that arithmetic shortcut.  The
 independent check :func:`derive_oracle` knows nothing about it: it searches
 derivations mechanically from the axioms.
 
-The grammar is one regular expression.  :func:`encode_bit` unranks a
-uniform rank within the bit's class in closed form, in the order
+The grammar is one regular expression.  :func:`encode_lines` draws all of
+a message's ranks in one :meth:`RandomSource.randbelow_many` and unranks
+each within its bit's class in closed form, in the order
 :func:`enumerate_wellformed` fixes: a lookup in the cumulative counts per
-hyphen total, then the root of a quadratic for ``x``.  The size bound is
-capped at :data:`MAX_SIZE_BOUND`, so that every string fits on one text
-line.  :func:`encode_bit` and :func:`decode_string` work on the group sizes
-directly and build no :class:`PqString`; :func:`parse_pq` and
+hyphen total, then the root of a quadratic for ``x``; :func:`encode_bit` is
+its one-bit case.  The size bound is capped at :data:`MAX_SIZE_BOUND`, so
+that every string fits on one text line.  The encoder and the decoder work
+on the group sizes and build no :class:`PqString`; :func:`parse_pq` and
 ``PqString.render`` share their matcher and renderer.
 
 The system is decidable and consistent, which is precisely what makes the
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Tuple
 
+from .bitstring import BitString
 from .rng import RandomSource
 
 
@@ -52,7 +54,7 @@ class ParseError(ValueError):
 # The whole grammar: three nonempty hyphen groups split by one 'p' and one 'q'.
 _PQ_GRAMMAR = re.compile(r"(-+)p(-+)q(-+)")
 
-# The largest size bound encode_bit takes: a POSIX text line holds at most
+# The largest size bound the encoder takes: a POSIX text line holds at most
 # LINE_MAX = 2048 bytes, newline included, so every string fits on a line.
 MAX_SIZE_BOUND = 2047
 
@@ -199,16 +201,19 @@ def _unrank_nontheorem(rank: int, budget: int) -> Tuple[int, int, int]:
 
 
 def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
-    """Emit a uniformly random string of surface length <= size_bound that
-    carries ``bit`` (0 -> theorem, 1 -> well-formed non-theorem).
+    """The string :func:`encode_lines` writes for the one-bit message ``bit``."""
+    return encode_lines(BitString((bit,)), src, size_bound)[:-1]
+
+
+def encode_lines(message: BitString, src: RandomSource, size_bound: int) -> str:
+    """One uniformly random string of surface length <= size_bound per bit
+    of ``message``, one per line: 0 -> theorem, 1 -> well-formed non-theorem.
 
     Uniformity within each class keeps the obvious length statistics from
     distinguishing the two classes more than the system already allows; no
-    secrecy is claimed either way.  A size bound above
-    :data:`MAX_SIZE_BOUND` raises :class:`ValueError`.
+    secrecy is claimed either way.  The size bound is checked before any
+    draw: one above :data:`MAX_SIZE_BOUND` raises :class:`ValueError`.
     """
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
     if size_bound < 6:
         raise ValueError("size bound must be >= 6 (smallest theorem is '-p-q--')")
     if size_bound > MAX_SIZE_BOUND:
@@ -216,12 +221,12 @@ def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
             f"size bound must be <= {MAX_SIZE_BOUND} (one string per text line)"
         )
     budget = size_bound - 2
-    if bit == 0:
-        x, y, z = _unrank_theorem(src.randbelow(_count_theorems(budget)))
-    else:
-        rank = src.randbelow(_count_nontheorems(budget))
-        x, y, z = _unrank_nontheorem(rank, budget)
-    return _render(x, y, z)
+    counts = (_count_theorems(budget), _count_nontheorems(budget))
+    ranks = src.randbelow_many(counts[bit] for bit in message)
+    return "".join(
+        _render(*(_unrank_nontheorem(rank, budget) if bit else _unrank_theorem(rank)))
+        + "\n" for bit, rank in zip(message, ranks)
+    )
 
 
 def decode_string(text: str) -> int:

@@ -18,6 +18,9 @@ Draw discipline (part of the pinned contract, mirrored by the pure-Python
 * ``randbelow(n)`` draws ``(n - 1).bit_length()`` bits per attempt and
   rejects values >= n, so it is exactly uniform.  ``randbelow(1)`` consumes
   nothing.
+* ``randbelow_many(bounds)`` consumes exactly the words of one ``randbelow``
+  per bound, in order.  It draws them through ``bits`` in rounds of at most
+  ``_CHUNK`` words, none past what the draws still to come must consume.
 
 A RandomSource is single-owner: concurrent draws from one source are
 forbidden.  Parallel work derives independent child seeds instead, see
@@ -40,9 +43,11 @@ shifts, XORs and ANDs over all lanes.  Two pitfalls:
 
 from __future__ import annotations
 
+import struct
 import sys
 from functools import cache
-from typing import Tuple
+from itertools import tee
+from typing import Iterable, Iterator, Tuple
 
 from .bitstring import BitString
 
@@ -123,11 +128,6 @@ class RandomSource:
     def __init__(self, seed: int) -> None:
         self._state = seed & MASK64
 
-    def next_word(self) -> int:
-        """Next raw 64-bit generator word."""
-        word, self._state = splitmix64_next(self._state)
-        return word
-
     def bits(self, n: int) -> BitString:
         """Draw ``n`` unbiased bits as a :class:`BitString`."""
         if n < 0:
@@ -160,12 +160,35 @@ class RandomSource:
 
     def randbelow(self, n: int) -> int:
         """Exactly uniform integer in ``[0, n)`` via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1")
-        if n == 1:
-            return 0
-        nbits = (n - 1).bit_length()
-        while True:
-            v = self.bits(nbits).value
-            if v < n:
-                return v
+        return next(self.randbelow_many((n,)))
+
+    def randbelow_many(self, bounds: Iterable[int]) -> Iterator[int]:
+        """Yield ``randbelow(n)`` for each ``n`` in ``bounds``, drawing the
+        words of one call per bound as the module docstring says; a bound
+        below 1 raises :class:`ValueError` before a round can reach it."""
+        bounds, ahead = tee(bounds)
+        owed = 0  # one attempt's words per bound read ahead and not yet done
+        words, i = [], 0  # drawn words and how many of them are read
+        for n in bounds:
+            nbits = (n - 1).bit_length()
+            need = (nbits + 63) // 64  # words per attempt
+            v = n if need else 0
+            while v >= n:
+                if need > len(words) - i:  # top up, keeping the unread words
+                    words, i = words[i:], 0
+                    while need > len(words):
+                        for m in ahead:  # read ahead for a full round
+                            if m <= 0:
+                                raise ValueError("randbelow needs n >= 1")
+                            owed += ((m - 1).bit_length() + 63) // 64
+                            if owed - len(words) >= _CHUNK:
+                                break
+                        r = min(_CHUNK, owed - len(words))
+                        raw = self.bits(64 * r).value.to_bytes(8 * r, "big")
+                        words += struct.unpack(f">{r}Q", raw)
+                v = words[i] if need == 1 else int.from_bytes(
+                    struct.pack(f">{need}Q", *words[i:i + need]), "big")
+                v >>= 64 * need - nbits
+                i += need
+            owed -= need
+            yield v

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from otplab.bitstring import BitString
 from otplab.private_object import TableObject
 from otplab.reduction import allowed_tails, generate_reduced_pad, reserved_pattern
+from otplab.rng import splitmix64_next
 
 
 # Statement lines that must not parse: statement_to_line writes an unsigned
@@ -15,6 +16,30 @@ MALFORMED_STATEMENT_LINES = (
     "1_0 1", "+3 1", "-3 1", "\u0663 1", "2 +1", "2 01",
     "2 \u0661", "07 1", "9" * 5000 + " 1",
 )
+
+
+def scalar_bits(state, n):
+    """Reference ``bits(n)`` from SplitMix64 ``state``: one
+    ``splitmix64_next`` call per word, MSB-first, truncated to ``n`` bits.
+    Returns ``(value, next_state)``."""
+    nwords = (n + 63) // 64
+    acc = 0
+    for _ in range(nwords):
+        word, state = splitmix64_next(state)
+        acc = (acc << 64) | word
+    return acc >> (64 * nwords - n), state
+
+
+def scalar_randbelow(state, n):
+    """Reference ``randbelow(n)``: one :func:`scalar_bits` draw of
+    ``(n - 1).bit_length()`` bits per attempt.  Returns ``(value,
+    next_state)``."""
+    nbits = (n - 1).bit_length()
+    while nbits:  # n == 1 draws nothing
+        value, state = scalar_bits(state, nbits)
+        if value < n:
+            return value, state
+    return 0, state
 
 
 @st.composite

@@ -197,6 +197,23 @@ def test_facts_encode_output_is_pinned(capsys):
         "d0f6003c4b660e734bd99de8b6d578db962b3d9ae8cc6f32a20a32515b077ee4")
 
 
+@pytest.mark.parametrize("seed, bound, digest", [
+    (7, 6, "608799f226d84ed1c39749ec8abaf0fdbe875e97983c7abe60e841a5e81316e3"),
+    (11, MAX_SIZE_BOUND,
+     "636e5973380acf6976a418b869389bb5d72142978aa3bfa8c1eee5515cd104e6"),
+])
+def test_facts_encode_output_is_pinned_at_the_extreme_bounds(capsys, seed, bound, digest):
+    # Digests of the output when each bit drew its rank on its own.  The
+    # message is longer than two rounds of bulk words; at bound 6 a 0 bit
+    # draws no word at all.
+    message = RandomSource(8).bits(4200).to01()
+    code, out, _ = run(capsys, "facts-encode", "--in", message, "--seed", str(seed),
+                       "--size-bound", str(bound))
+    assert code == 0
+    assert out.count("\n") == 4200
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reduced_pad_outputs_are_pinned(capsys, tmp_path, monkeypatch):
     # Digest taken before the transmitted pad became a plain BitString: the
     # reduce-keygen pad bytes and stdout and the encrypt --reduced stdout over
@@ -584,6 +601,17 @@ def test_facts_size_bound_above_the_cap_is_exit_2(capsys, bound):
                          "--size-bound", str(bound))
     assert (code, out) == (2, "")
     assert f"size bound must be <= {MAX_SIZE_BOUND}" in err
+
+
+@pytest.mark.parametrize("bound, error", [
+    (3, "size bound must be >= 6"),
+    (99999, f"size bound must be <= {MAX_SIZE_BOUND}"),
+])
+def test_facts_size_bound_is_checked_on_an_empty_message(capsys, bound, error):
+    code, out, err = run(capsys, "facts-encode", "--seed", "1", "--in", "",
+                         "--size-bound", str(bound))
+    assert (code, out) == (2, "")
+    assert error in err
 
 
 def test_facts_size_bound_at_the_cap_runs(capsys):

@@ -2,9 +2,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bitstrings, scalar_randbelow
+from otplab.bitstring import BitString
 from otplab.facts import (
     MAX_SIZE_BOUND,
     ParseError,
@@ -12,6 +14,7 @@ from otplab.facts import (
     decode_string,
     derive_oracle,
     encode_bit,
+    encode_lines,
     _count_nontheorems,
     _count_theorems,
     _unrank_nontheorem,
@@ -20,7 +23,7 @@ from otplab.facts import (
     is_theorem,
     parse_pq,
 )
-from otplab.rng import RandomSource
+from otplab.rng import _CHUNK, MASK64, RandomSource
 
 
 def test_parse_examples():
@@ -159,6 +162,42 @@ def test_unranking_covers_a_large_block(total):
     budget = MAX_SIZE_BOUND - 2
     assert [_unrank_nontheorem(first + r, budget)
             for r in range(len(block))] == block
+
+
+def _per_bit_replay(message, seed, size_bound):
+    # One scalar randbelow replay per bit, then the unranking of its class.
+    budget = size_bound - 2
+    state, lines = seed, []
+    for bit in message:
+        count = _count_nontheorems(budget) if bit else _count_theorems(budget)
+        rank, state = scalar_randbelow(state, count)
+        groups = _unrank_nontheorem(rank, budget) if bit else _unrank_theorem(rank)
+        lines.append(PqString(*groups).render() + "\n")
+    return "".join(lines), state
+
+
+# At bounds 6 and 7 the theorem class has one member, so a 0 bit draws no
+# word; 8 and 24 are small, MAX_SIZE_BOUND the cap.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, MASK64), bitstrings(max_len=300),
+       st.one_of(st.sampled_from([6, 7, 8, 24, MAX_SIZE_BOUND]),
+                 st.integers(6, MAX_SIZE_BOUND)))
+@example(seed=5, message=BitString(""), size_bound=24)
+@example(seed=6, message=RandomSource(1).bits(2 * _CHUNK + 100), size_bound=7)
+def test_encode_lines_matches_per_bit_scalar_replay(seed, message, size_bound):
+    src = RandomSource(seed)
+    out = encode_lines(message, src, size_bound)
+    assert (out, src._state) == _per_bit_replay(message, seed, size_bound)
+    per_bit = RandomSource(seed)  # encode_bit, the one-bit case, bit by bit
+    assert out == "".join(encode_bit(b, per_bit, size_bound) + "\n" for b in message)
+
+
+@pytest.mark.parametrize("bound", [5, MAX_SIZE_BOUND + 1])
+def test_encode_lines_checks_the_bound_of_an_empty_message(bound):
+    src = RandomSource(3)
+    with pytest.raises(ValueError, match="size bound must be"):
+        encode_lines(BitString(""), src, bound)
+    assert src._state == 3
 
 
 def test_encode_decode_round_trip_10k():

@@ -1,5 +1,5 @@
-"""Large inputs run in linear time: the bulk bit paths and statement
-verification, timed at n and 8n.
+"""Large inputs run in linear time: the bulk bit paths, statement
+verification and the pq encoder, timed at n and 8n.
 
 A linear path takes about 8 times as long at 8n, a quadratic one about 64
 times.  The bound of 24 leaves room for a host whose speed drifts by tens of
@@ -9,6 +9,7 @@ percent between the two timings.
 import time
 
 from otplab.bitstring import BitString
+from otplab.facts import encode_lines
 from otplab.private_object import (
     PadObject,
     Statement,
@@ -74,3 +75,16 @@ def test_statement_line_decode_scales_linearly():
 
     ratio = _best_of_3(decode, large) / _best_of_3(decode, small)
     assert ratio < MAX_RATIO, f"decode_lines: 8x took {ratio:.1f}x as long"
+
+
+def test_facts_encode_scales_linearly():
+    # Messages of 10 and 80 kbit at the CLI's default size bound: every rank
+    # comes from the bulk draw, in rounds of words topped up as they run out.
+    n = N // 10
+    message = RandomSource(7).bits(8 * n)
+
+    def encode(m):
+        return encode_lines(m, RandomSource(8), 24)
+
+    ratio = _best_of_3(encode, message) / _best_of_3(encode, message[:n])
+    assert ratio < MAX_RATIO, f"encode_lines: 8x took {ratio:.1f}x as long"

@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import scalar_bits, scalar_randbelow
 
 from otplab.bitstring import BitString
 from otplab.rng import (
@@ -37,7 +39,7 @@ CANONICAL_WORDS = {
 @pytest.mark.parametrize("seed", sorted(CANONICAL_WORDS))
 def test_matches_canonical_generator(seed):
     src = RandomSource(seed)
-    assert [src.next_word() for _ in range(4)] == CANONICAL_WORDS[seed]
+    assert [src.bits(64).value for _ in range(4)] == CANONICAL_WORDS[seed]
 
 
 def test_splitmix64_next_is_pure():
@@ -63,7 +65,7 @@ def test_bits_golden_vector_seed_42():
 def test_bits_zero_consumes_nothing():
     src = RandomSource(5)
     assert src.bits(0) == BitString("")
-    assert src.next_word() == RandomSource(5).next_word()
+    assert src.bits(64).value == RandomSource(5).bits(64).value
 
 
 def test_bits_word_discipline():
@@ -77,26 +79,16 @@ def test_bits_word_discipline():
         nwords = (n + 63) // 64
         acc = 0
         for _ in range(nwords):
-            acc = (acc << 64) | ref.next_word()
+            acc = (acc << 64) | ref.bits(64).value
         assert got.value == acc >> (64 * nwords - n)
         assert len(got) == n
-        assert src.next_word() == ref.next_word()  # no word more or less
-
-
-def _scalar_bits(state, n):
-    # Reference: one splitmix64_next call per word, MSB-first, truncated.
-    nwords = (n + 63) // 64
-    acc = 0
-    for _ in range(nwords):
-        word, state = splitmix64_next(state)
-        acc = (acc << 64) | word
-    return acc >> (64 * nwords - n), state
+        assert src.bits(64).value == ref.bits(64).value  # no word more or less
 
 
 _DRAW = st.one_of(
     st.tuples(st.just("bits"), st.integers(0, 3 * 64 * _CHUNK)),
     st.tuples(st.just("bits"), st.integers(0, 64)),
-    st.tuples(st.just("word"), st.just(64)),
+    st.tuples(st.just("word"), st.just(64)),  # randbelow(2**64): one word
 )
 
 
@@ -106,8 +98,8 @@ def test_interleaved_draws_match_scalar_replay(seed, draws):
     src = RandomSource(seed)
     state = seed
     for kind, n in draws:
-        got = src.bits(n) if kind == "bits" else src.next_word()
-        value, state = _scalar_bits(state, n)
+        got = src.bits(n) if kind == "bits" else src.randbelow(1 << 64)
+        value, state = scalar_bits(state, n)
         if kind == "bits":
             assert (got.value, len(got)) == (value, n)
         else:
@@ -138,6 +130,64 @@ def test_randbelow_exact_and_in_range():
     assert RandomSource(0).randbelow(1) == 0
     with pytest.raises(ValueError):
         src.randbelow(0)
+
+
+# Bounds around every attempt width: 1 draws nothing, powers of two and
+# their neighbours sit at the edges of a bit count, and bounds above 2**64
+# take two or more words per attempt.
+_POWERS = [1 << k for k in (1, 2, 3, 8, 31, 32, 63, 64, 65, 127, 128, 129, 200)]
+_BOUND = st.one_of(
+    st.just(1),
+    st.sampled_from(sorted({p + d for p in _POWERS for d in (-1, 0, 1)} - {0})),
+    st.integers(1, 1 << 200),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, MASK64), st.lists(_BOUND, max_size=10),
+       st.sampled_from([1, 3, 1000]))
+@example(seed=0, pattern=[], repeat=1)
+@example(seed=1, pattern=[3, 1, (1 << 64) + 1, 5, 1 << 64], repeat=900)
+@example(seed=2, pattern=[1], repeat=3 * _CHUNK)
+@example(seed=3, pattern=[(1 << 64 * _CHUNK + 5) + 3, 7, 1], repeat=2)
+def test_randbelow_many_matches_scalar_replay(seed, pattern, repeat):
+    # The pattern repeated 1000 times is longer than 2 * _CHUNK draws when it
+    # holds 5 or more bounds, so the rounds of words from bits() meet at
+    # chunk edges; the last example takes more than _CHUNK words an attempt.
+    bounds = pattern * repeat
+    src = RandomSource(seed)
+    got = list(src.randbelow_many(bounds))
+    state, want = seed, []
+    for n in bounds:
+        value, state = scalar_randbelow(state, n)
+        want.append(value)
+    assert got == want
+    assert src._state == state
+
+
+def test_randbelow_many_draws_few_bounded_rounds():
+    rounds = []
+
+    class Recording(RandomSource):
+        def bits(self, n):
+            rounds.append(n)
+            return super().bits(n)
+
+    src = Recording(4)
+    values = list(src.randbelow_many(iter([5] * 10_000)))  # any iterable
+    assert len(values) == 10_000 and set(values) == set(range(5))
+    # 3/8 of the one-word attempts are rejected: about 16,000 words in all,
+    # drawn in full rounds and a few short ones at the end.
+    assert max(rounds) == 64 * _CHUNK
+    assert len(rounds) < 20
+
+
+def test_randbelow_many_rejects_a_bound_below_one_before_drawing():
+    for bounds in ([0], [7, 2**70, -3, 3], [1] * 5000 + [0]):
+        src = RandomSource(9)
+        with pytest.raises(ValueError, match="n >= 1"):
+            list(src.randbelow_many(bounds))
+        assert src._state == 9  # the first round would have drawn its words
 
 
 def test_derive_child_seed_is_the_documented_formula():
