@@ -133,8 +133,7 @@ def _cmd_facts_encode(args) -> int:
 
 
 def _cmd_facts_decode(args) -> int:
-    bits = [facts.decode_string(line) for line in _read_lines(getattr(args, "in"))]
-    print(BitString(bits).to01())
+    print(facts.decode_lines(_read_lines(getattr(args, "in"))).to01())
     return EXIT_OK
 
 

@@ -24,9 +24,14 @@ each within its bit's class in closed form, in the order
 :func:`enumerate_wellformed` fixes: a lookup in the cumulative counts per
 hyphen total, then the root of a quadratic for ``x``; :func:`encode_bit` is
 its one-bit case.  The size bound is capped at :data:`MAX_SIZE_BOUND`, so
-that every string fits on one text line.  The encoder and the decoder work
-on the group sizes and build no :class:`PqString`; :func:`parse_pq` and
-``PqString.render`` share their matcher and renderer.
+that every string fits on one text line.  A small bound leaves few strings
+per class (55 theorems and 1,485 non-theorems at 24), so a long message
+repeats them: each whole-message call keeps its own tables, from rank to
+rendered line per class in :func:`encode_lines` and from line to bit in
+:func:`decode_lines`, and unranks and renders, or parses, each distinct
+string once; every repeat is a dictionary lookup.  The encoder and the
+decoder work on the group sizes and build no :class:`PqString`;
+:func:`parse_pq` and ``PqString.render`` share their matcher and renderer.
 
 The system is decidable and consistent, which is precisely what makes the
 receiver's verdict computable; it is also utterly insecure, and nothing
@@ -41,7 +46,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import Tuple
+from operator import getitem
+from typing import Callable, Iterable, Tuple
 
 from .bitstring import BitString
 from .rng import RandomSource
@@ -59,17 +65,19 @@ _PQ_GRAMMAR = re.compile(r"(-+)p(-+)q(-+)")
 MAX_SIZE_BOUND = 2047
 
 
-def _render(x: int, y: int, z: int) -> str:
-    return "-" * x + "p" + "-" * y + "q" + "-" * z
+def _line(x: int, y: int, z: int) -> str:
+    # The string with group sizes (x, y, z) and its newline, built in one piece.
+    return f"{'-' * x}p{'-' * y}q{'-' * z}\n"
 
 
 def _groups(text: str) -> Tuple[int, int, int]:
-    # The hyphen group sizes of a well-formed string.
+    # The hyphen group sizes of a well-formed string, from where the first
+    # two groups end: no group is copied out.
     match = _PQ_GRAMMAR.fullmatch(text)
     if match is None:
         raise ParseError("not of the form -..-p-..-q-..- (nonempty hyphen groups)")
-    x, y, z = map(len, match.groups())
-    return x, y, z
+    p, q = match.end(1), match.end(2)
+    return p, q - p - 1, len(text) - q - 1
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class PqString:
         return self.x + self.y + self.z + 2
 
     def render(self) -> str:
-        return _render(self.x, self.y, self.z)
+        return _line(self.x, self.y, self.z)[:-1]
 
 
 def parse_pq(text: str) -> PqString:
@@ -200,6 +208,18 @@ def _unrank_nontheorem(rank: int, budget: int) -> Tuple[int, int, int]:
     return x, y, total - x - y
 
 
+class _Table(dict):
+    """One call's table of ``fn(key)``, computed at a key's first lookup."""
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
     """The string :func:`encode_lines` writes for the one-bit message ``bit``."""
     return encode_lines(BitString((bit,)), src, size_bound)[:-1]
@@ -223,13 +243,19 @@ def encode_lines(message: BitString, src: RandomSource, size_bound: int) -> str:
     budget = size_bound - 2
     counts = (_count_theorems(budget), _count_nontheorems(budget))
     ranks = src.randbelow_many(counts[bit] for bit in message)
-    return "".join(
-        _render(*(_unrank_nontheorem(rank, budget) if bit else _unrank_theorem(rank)))
-        + "\n" for bit, rank in zip(message, ranks)
-    )
+    tables = (_Table(lambda rank: _line(*_unrank_theorem(rank))),
+              _Table(lambda rank: _line(*_unrank_nontheorem(rank, budget))))
+    return "".join(map(getitem, map(tables.__getitem__, message), ranks))
 
 
 def decode_string(text: str) -> int:
     """Read the bit carried by a string: theorem -> 0, non-theorem -> 1."""
     x, y, z = _groups(text)
     return 0 if x + y == z else 1  # is_theorem, on the group sizes
+
+
+def decode_lines(lines: Iterable[str]) -> BitString:
+    """The bits :func:`decode_string` reads from ``lines``, in order; the
+    first malformed line raises its :class:`ParseError`."""
+    table = _Table(lambda line: "01"[decode_string(line)])
+    return BitString("".join(map(table.__getitem__, lines)))

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import bitstrings, scalar_randbelow
 from otplab.bitstring import BitString
+from otplab import facts
 from otplab.facts import (
     MAX_SIZE_BOUND,
     ParseError,
     PqString,
+    decode_lines,
     decode_string,
     derive_oracle,
     encode_bit,
@@ -198,6 +200,74 @@ def test_encode_lines_checks_the_bound_of_an_empty_message(bound):
     with pytest.raises(ValueError, match="size bound must be"):
         encode_lines(BitString(""), src, bound)
     assert src._state == 3
+
+
+@pytest.mark.parametrize("bound", [6, 7])
+def test_a_single_member_class_draws_no_word(bound):
+    # The theorem class holds only -p-q-- here, so zeros cost no draw.
+    src = RandomSource(5)
+    assert encode_lines(BitString.zeros(5000), src, bound) == "-p-q--\n" * 5000
+    assert src._state == 5
+
+
+def test_encode_lines_unranks_each_distinct_rank_once(monkeypatch):
+    # Called through the module globals, so these wrappers see every unranking.
+    calls = {"theorem": [], "nontheorem": []}
+    unrank_t, unrank_n = facts._unrank_theorem, facts._unrank_nontheorem
+    monkeypatch.setattr(facts, "_unrank_theorem",
+                        lambda r: calls["theorem"].append(r) or unrank_t(r))
+    monkeypatch.setattr(facts, "_unrank_nontheorem",
+                        lambda r, b: calls["nontheorem"].append(r) or unrank_n(r, b))
+    message = RandomSource(12).bits(5000)
+    lines = encode_lines(message, RandomSource(13), 24).splitlines()
+    for kind, bit in (("theorem", 0), ("nontheorem", 1)):
+        distinct = {line for line, b in zip(lines, message) if b == bit}
+        assert len(calls[kind]) == len(set(calls[kind])) == len(distinct)
+    assert len(calls["theorem"]) <= _count_theorems(22)
+    assert len(calls["nontheorem"]) <= _count_nontheorems(22)
+
+
+# Well-formed strings of both classes and malformed ones, few enough that a
+# list of them repeats its lines.
+_WELL_FORMED = ["-p-q--", "-p-q---", "--p-q---", "-p--q---", "--p--q----",
+                "---p-q--", "-p---q-"]
+_MALFORMED = ["", "-p-q-q-", "pq", "-p-q--\n", "--p--", " -p-q--"]
+
+
+@st.composite
+def _pq_lines(draw):
+    lines = draw(st.lists(st.sampled_from(_WELL_FORMED), max_size=60))
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from(_MALFORMED) | st.text(max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pq_lines())
+@example(lines=[])
+def test_decode_lines_matches_decode_string_per_line(lines):
+    try:
+        expected = [decode_string(line) for line in lines]
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            decode_lines(lines)
+        return
+    assert decode_lines(lines) == BitString(expected)
+
+
+def test_decode_lines_parses_each_distinct_line_once_in_order(monkeypatch):
+    # Through the module global, up to and including the first malformed line.
+    seen = []
+    monkeypatch.setattr(facts, "decode_string",
+                        lambda line: seen.append(line) or decode_string(line))
+    lines = ["-p-q--", "-p-q---", "-p-q--", "-p-q---", "--p-q---", "-p-q--"]
+    assert decode_lines(lines) == BitString("010100")
+    assert seen == ["-p-q--", "-p-q---", "--p-q---"]
+    seen.clear()
+    with pytest.raises(ParseError):
+        decode_lines(lines + ["pq", "-p-q--", "q-p-"])
+    assert seen == ["-p-q--", "-p-q---", "--p-q---", "pq"]
 
 
 def test_encode_decode_round_trip_10k():

@@ -1,5 +1,5 @@
 """Large inputs run in linear time: the bulk bit paths, statement
-verification and the pq encoder, timed at n and 8n.
+verification and the pq encoder and decoder, timed at n and 8n.
 
 A linear path takes about 8 times as long at 8n, a quadratic one about 64
 times.  The bound of 24 leaves room for a host whose speed drifts by tens of
@@ -8,8 +8,9 @@ percent between the two timings.
 
 import time
 
+from otplab import facts
 from otplab.bitstring import BitString
-from otplab.facts import encode_lines
+from otplab.facts import MAX_SIZE_BOUND, encode_lines
 from otplab.private_object import (
     PadObject,
     Statement,
@@ -88,3 +89,16 @@ def test_facts_encode_scales_linearly():
 
     ratio = _best_of_3(encode, message) / _best_of_3(encode, message[:n])
     assert ratio < MAX_RATIO, f"encode_lines: 8x took {ratio:.1f}x as long"
+
+
+def test_facts_decode_scales_linearly():
+    # 500 and 4,000 strings at the largest size bound, about 1.5 kB each and
+    # all but a few distinct: nearly every line misses the decoder's table.
+    n = 500
+    message = RandomSource(9).bits(8 * n)
+    lines = encode_lines(message, RandomSource(10), MAX_SIZE_BOUND).splitlines()
+    assert len(set(lines)) > 0.99 * len(lines)
+    assert facts.decode_lines(lines[:n]) == message[:n]
+    ratio = _best_of_3(facts.decode_lines, lines) / _best_of_3(facts.decode_lines,
+                                                                lines[:n])
+    assert ratio < MAX_RATIO, f"facts.decode_lines: 8x took {ratio:.1f}x as long"

@@ -1,13 +1,16 @@
 """The package's public surface."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import otplab
+import otplab.cli
 
 
 def test_all_names_resolve_and_appear_once():
@@ -17,13 +20,18 @@ def test_all_names_resolve_and_appear_once():
         assert getattr(otplab, name) is not None, name
 
 
-def test_benchmark_traced_names_resolve():
-    # The benchmark's tracer wraps these names by lookup, as Tracer.install
-    # does: a module function by getattr, a method in its class __dict__.
+def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark's tracer wraps these names by lookup, as Tracer.install
+    # does: a module function by getattr, a method in its class __dict__.
+    tracer = _load_tracer()
     for name, (module, attr) in tracer.TRACED.items():
         owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
         if "." in attr:
@@ -32,6 +40,66 @@ def test_benchmark_traced_names_resolve():
         else:
             assert callable(getattr(owner, attr, None)), name
     assert set(tracer.SIZES) <= set(tracer.TRACED)
+
+
+def _cli_jobs(d):
+    # One tiny job of every command the benchmark's workloads send, in chain
+    # order: later jobs read the files earlier ones write.
+    m = "1011001110001111" * 4
+    pad, short, strings, stmts = (str(d / f) for f in ("p.otpd", "r.otpd", "s.txt",
+                                                       "st.txt"))
+    jobs = [
+        (["keygen", "--bits", "64", "--seed", "1", "--out", pad], None),
+        (["encrypt", "--pad", pad, "--in", m], None),
+        (["decrypt", "--pad", pad, "--in", m], None),
+        (["pad-compress", "--in", pad, "--out", str(d / "c.otpd")], None),
+        (["pad-decompress", "--in", str(d / "c.otpd"), "--out", str(d / "d.otpd"),
+          "--message-length", "64"], None),
+        (["reduce-keygen", "--message-bits", "64", "--k", "3", "--seed", "2",
+          "--out", short], None),
+        (["encrypt", "--pad", short, "--in", m, "--reduced", "--message-bits", "64",
+          "--k", "3"], None),
+        (["po-encode", "--pad", pad, "--in", m], stmts),
+        (["po-decode", "--pad", pad, "--in", stmts], None),
+        (["facts-encode", "--seed", "3", "--in", m], strings),
+        (["facts-decode", "--in", strings], None),
+    ]
+    jobs += [(["analyze", check, "--n", "4", "--k", "2", "--trials", "2000"], None)
+             for check in ("eve", "distinguish", "reduction", "census")]
+    jobs.append((["analyze", "exact", "--n", "2", "--k", "1"], None))
+    return jobs
+
+
+def test_every_workload_command_runs_under_the_benchmark_tracer(tmp_path):
+    # The traced benchmark run fails when a job raises inside the tracer's
+    # wrappers, which bind by name and argument position.
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    jobs = _cli_jobs(tmp_path)
+    codes = []
+
+    def job(argv, out_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(otplab.cli.main(argv))
+        if out_path is not None:
+            Path(out_path).write_text(out.getvalue())
+
+    tracer.install()
+    try:
+        for k in range(2 * len(jobs)):
+            tracer.run_job(k, lambda: job(*jobs[k % len(jobs)]))
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * (2 * len(jobs))
+    passes = [(0, len(jobs)), (len(jobs), 2 * len(jobs))]
+    stats, roots, stray = tracer.analyze(passes)
+    assert stray == 0
+    assert sorted(roots) == list(range(2 * len(jobs)))
+    assert all(len(spans) == 1 for spans in roots.values())
+    words = [s["rng.bits"]["extra"] for s in stats]
+    assert words[0] == words[1] > 0
+    assert all(s["facts.decode_string"]["calls"] > 0 for s in stats)
 
 
 _REIMPORT = """
