@@ -110,13 +110,14 @@ def _cmd_po_encode(args) -> int:
 
 def _read_lines(path: Optional[str]) -> List[str]:
     # Bytes, decoded strictly here: input that is not UTF-8 is a data error
-    # from a file and from stdin alike, whatever the locale.
+    # from a file and from stdin alike, whatever the locale.  Lines that are
+    # empty or all whitespace are dropped, filtered in C by str.strip.
     if path is None:
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    return [line for line in data.decode("utf-8").splitlines() if line.strip()]
+    return list(filter(str.strip, data.decode("utf-8").splitlines()))
 
 
 def _cmd_po_decode(args) -> int:

@@ -15,9 +15,13 @@ Each direction has two forms.  :func:`encode_statements` and
 :func:`verify_statements` work on :class:`Statement` values and are the
 reference.  :func:`encode_lines` and :func:`decode_lines` work on the wire
 form, one ``<index> <claimed_value> <rendering>`` line per bit, and build no
-per-line object; the command line uses them.  Both forms share the XOR, the
-line format, the strict line parser and the bounds-and-compare loop, so
-they differ only in what they hand back.
+per-line object; the command line uses them.  Both forms share the XOR and
+the line grammar: one regular expression accepts a line for
+:func:`decode_lines` and for :func:`statement_from_line` alike.
+:func:`decode_lines` matches, bounds-checks and compares each line inline in
+one loop, with no Python call per line; only a faulty line goes to the code
+that names its fault, so the first faulty line's error is the same on both
+paths.
 
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
@@ -27,6 +31,7 @@ indices 1, 2, 3, ... in order.
 from __future__ import annotations
 
 import abc
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
@@ -60,7 +65,9 @@ class PrivateObject(abc.ABC):
         return BitString(self.feature(i) for i in range(1, count + 1))
 
     def describe(self, index: int, claimed_value: int) -> str:
-        """Human rendering of the claim 'feature <index> equals <value>'."""
+        """Human rendering of the claim 'feature <index> equals <value>';
+        never empty, as :func:`encode_lines` writes it as a line's third
+        field."""
         return f"feature {index} of the object is {claimed_value}"
 
     def _check_index(self, index: int) -> None:
@@ -154,23 +161,9 @@ def encode_lines(message: BitString, obj: PrivateObject) -> str:
     each ending in a newline, built without a :class:`Statement` per line."""
     describe = obj.describe
     return "".join([
-        _format_line(j, claimed, describe(j, claimed)) + "\n"
+        f"{j} {claimed} {describe(j, claimed)}\n"
         for j, claimed in enumerate(_claims(message, obj), start=1)
     ])
-
-
-def _verify(pairs: Iterable[Tuple[int, int]], obj: PrivateObject) -> BitString:
-    # One bit per (feature index, claimed value) pair, in order: true -> 0.
-    width = obj.entropy_bits
-    values = obj.features(width).to01()
-    bits = []
-    for index, claimed in pairs:
-        if not 1 <= index <= width:
-            raise StatementParseError(
-                f"feature index {index} outside 1..{width}"
-            )
-        bits.append("0" if (values[index - 1] == "1") == claimed else "1")
-    return BitString("".join(bits))
 
 
 def verify_statements(
@@ -181,58 +174,92 @@ def verify_statements(
     A statement naming a feature the object lacks cannot have come from
     :func:`encode_statements`, so it raises :class:`StatementParseError`.
     """
-    return _verify(
-        ((stmt.feature_index, stmt.claimed_value) for stmt in statements), obj
-    )
+    width = obj.entropy_bits
+    values = obj.features(width).to01()
+    bits = []
+    for stmt in statements:
+        index = stmt.feature_index
+        if not 1 <= index <= width:
+            raise StatementParseError(
+                f"feature index {index} outside 1..{width}"
+            )
+        bits.append(
+            "0" if (values[index - 1] == "1") == stmt.claimed_value else "1"
+        )
+    return BitString("".join(bits))
+
+
+# The one test of a statement line: an unsigned ASCII decimal index without
+# leading zeros, whitespace, a claimed value of exactly 0 or 1, then the end
+# or whitespace and the rendering.  ``\s`` is the whitespace str.split()
+# splits on.  int() alone would also take signs, underscores, leading zeros
+# and non-ASCII digits.
+_LINE = re.compile(r"\s*([1-9][0-9]*)\s+([01])(?!\S)")
 
 
 def decode_lines(lines: Iterable[str], obj: PrivateObject) -> BitString:
-    """Parse and check statement lines in one pass, without a
-    :class:`Statement` per line; the same bits and errors as
-    :func:`verify_statements` over :func:`statement_from_line`, except that
-    the first faulty line is reported, whichever of the two checks it fails.
+    """Parse, check and read back statement lines in one loop, with no
+    :class:`Statement` and no Python call per line; the same bits and errors
+    as :func:`verify_statements` over :func:`statement_from_line`, except
+    that the first faulty line is reported, whichever of the two checks it
+    fails.
     """
-    return _verify(
-        ((index, claimed) for index, claimed, _ in map(_parse_line, lines)), obj
-    )
+    width = obj.entropy_bits
+    values = " " + obj.features(width).to01()  # values[i] is feature i
+    bits = []
+    append = bits.append
+    accept = _LINE.match
+    for line in lines:
+        fields = accept(line)
+        if fields is None:
+            raise _line_error(line)
+        index_text, claimed = fields.groups()
+        try:
+            index = int(index_text)
+        except ValueError:  # more digits than int() converts
+            raise _line_error(line) from None
+        if index > width:
+            raise StatementParseError(
+                f"feature index {index} outside 1..{width}"
+            )
+        append("0" if values[index] == claimed else "1")
+    return BitString("".join(bits))
 
 
-def _format_line(index: int, claimed: int, rendering: str) -> str:
-    # The wire form: <index> <claimed_value> <rendering>, the last optional.
-    if rendering:
-        return f"{index} {claimed} {rendering}"
-    return f"{index} {claimed}"
-
-
-def _parse_line(line: str) -> Tuple[int, int, str]:
-    # (index, claimed value, rendering) of a line, accepting only what
-    # _format_line writes: int() alone would also take signs, underscores,
-    # leading zeros and non-ASCII digits.
+def _line_error(line: str) -> StatementParseError:
+    # Names what is wrong with a line that _LINE refuses or whose index
+    # int() cannot convert.  Only the first two checks are spelled out: a
+    # line with two fields and a valid claim that _LINE still refuses has a
+    # bad index.
     parts = line.split(maxsplit=2)
     if len(parts) < 2:
-        raise StatementParseError(
+        return StatementParseError(
             f"statement line needs '<index> <value>': {line!r}"
         )
-    index_text, claimed_text = parts[0], parts[1]
-    if claimed_text not in ("0", "1"):
-        raise StatementParseError(f"claimed value must be 0 or 1: {line!r}")
-    if not (index_text.isascii() and index_text.isdigit()) or index_text[0] == "0":
-        raise StatementParseError(
+    if parts[1] not in ("0", "1"):
+        return StatementParseError(f"claimed value must be 0 or 1: {line!r}")
+    if _LINE.match(line) is None:
+        return StatementParseError(
             f"feature index must be a decimal number >= 1: {line!r}"
         )
-    try:
-        index = int(index_text)
-    except ValueError as exc:  # more digits than int() converts
-        raise StatementParseError(f"malformed statement line: {line!r}") from exc
-    claimed = 1 if claimed_text == "1" else 0
-    return index, claimed, parts[2] if len(parts) == 3 else ""
+    return StatementParseError(f"malformed statement line: {line!r}")
 
 
 def statement_to_line(stmt: Statement) -> str:
-    """Wire form: ``<index> <claimed_value> <rendering>``."""
-    return _format_line(stmt.feature_index, stmt.claimed_value, stmt.rendering)
+    """Wire form: ``<index> <claimed_value> <rendering>``, the rendering
+    left out when it is empty."""
+    if stmt.rendering:
+        return f"{stmt.feature_index} {stmt.claimed_value} {stmt.rendering}"
+    return f"{stmt.feature_index} {stmt.claimed_value}"
 
 
 def statement_from_line(line: str) -> Statement:
     """Parse the wire form; the rendering tail is kept but never compared."""
-    return Statement(*_parse_line(line))
+    fields = _LINE.match(line)
+    if fields is None:
+        raise _line_error(line)
+    try:
+        index = int(fields[1])
+    except ValueError:  # more digits than int() converts
+        raise _line_error(line) from None
+    return Statement(index, int(fields[2]), line[fields.end():].lstrip())

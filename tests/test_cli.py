@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import resource
 import subprocess
@@ -166,6 +167,34 @@ def test_facts_encode_decode(capsys, tmp_path):
     code, decoded, _ = run(capsys, "facts-decode", "--in", str(strings_file))
     assert code == 0
     assert decoded.strip() == "0110"
+
+
+@pytest.mark.parametrize("by_file", [True, False], ids=["file", "stdin"])
+@pytest.mark.parametrize("command", ["po-decode", "facts-decode"])
+def test_decode_skips_blank_lines_and_reads_any_line_ending(
+        capsys, monkeypatch, pad_file, tmp_path, command, by_file):
+    # Blank and whitespace-only lines between the encoder's lines, CRLF
+    # endings and no final newline decode to the same bits as its output.
+    message = "0010110101"
+    if command == "po-decode":
+        encode, decode = ["po-encode", "--pad", pad_file], [command, "--pad", pad_file]
+    else:
+        encode, decode = ["facts-encode", "--seed", "5"], [command]
+    code, clean, _ = run(capsys, *encode, "--in", message)
+    assert code == 0
+    noise = ["", "   ", "\t", "\u3000 "]
+    messy = "\r\n".join(
+        part for i, line in enumerate(clean.splitlines()) for part in (noise[i % 4], line))
+    for text in (clean, messy):
+        data = text.encode("utf-8")
+        if by_file:
+            path = tmp_path / "lines.txt"
+            path.write_bytes(data)
+            argv = [*decode, "--in", str(path)]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            argv = decode
+        assert run(capsys, *argv) == (0, message + "\n", "")
 
 
 def test_po_encode_output_is_the_xor_ciphertext_lines(capsys, tmp_path):

@@ -1,5 +1,5 @@
-"""Large inputs run in linear time: the bulk bit paths, statement
-verification and the pq encoder and decoder, timed at n and 8n.
+"""Large inputs run in linear time: the bulk bit paths, the statement
+encoder and verifiers and the pq encoder and decoder, timed at n and 8n.
 
 A linear path takes about 8 times as long at 8n, a quadratic one about 64
 times.  The bound of 24 leaves room for a host whose speed drifts by tens of
@@ -15,6 +15,7 @@ from otplab.private_object import (
     PadObject,
     Statement,
     decode_lines,
+    encode_lines as statement_encode_lines,
     verify_statements,
 )
 from otplab.rng import RandomSource
@@ -76,6 +77,19 @@ def test_statement_line_decode_scales_linearly():
 
     ratio = _best_of_3(decode, large) / _best_of_3(decode, small)
     assert ratio < MAX_RATIO, f"decode_lines: 8x took {ratio:.1f}x as long"
+
+
+def test_statement_line_encode_scales_linearly():
+    # Messages of 25 and 200 kbit against one 200 kbit pad.
+    n = N // 4
+    obj = PadObject(RandomSource(11).bits(8 * n))
+    message = RandomSource(12).bits(8 * n)
+
+    def encode(m):
+        return statement_encode_lines(m, obj)
+
+    ratio = _best_of_3(encode, message) / _best_of_3(encode, message[:n])
+    assert ratio < MAX_RATIO, f"encode_lines: 8x took {ratio:.1f}x as long"
 
 
 def test_facts_encode_scales_linearly():

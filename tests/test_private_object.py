@@ -1,5 +1,8 @@
+import re
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otplab.bitstring import BitString, xor
 from otplab.otp import encrypt
@@ -26,6 +29,18 @@ from conftest import (
 
 PAD = BitString("1011001001")
 MSG = BitString("0010110101")
+
+# The fault each malformed line is named by, in the order the checks run:
+# two fields, then the claimed value, then the index, then int().
+_NEEDS = "statement line needs '<index> <value>'"
+_CLAIM = "claimed value must be 0 or 1"
+_INDEX = "feature index must be a decimal number >= 1"
+_FAULTS = {
+    "": _NEEDS, "7": _NEEDS, "x 1": _INDEX, "7 2": _CLAIM, "0 1": _INDEX,
+    "7 x": _CLAIM, "1_0 1": _INDEX, "+3 1": _INDEX, "-3 1": _INDEX,
+    "\u0663 1": _INDEX, "2 +1": _CLAIM, "2 01": _CLAIM, "2 \u0661": _CLAIM,
+    "07 1": _INDEX, "9" * 5000 + " 1": "malformed statement line",
+}
 
 
 def test_pad_object_features_are_pad_bits():
@@ -127,17 +142,21 @@ def test_wire_form_round_trip():
 
 
 def test_wire_form_errors():
-    # Only what statement_to_line writes parses.
+    # Only what statement_to_line writes parses, and the error names the
+    # fault.
+    assert set(_FAULTS) == set(MALFORMED_STATEMENT_LINES)
     for bad in MALFORMED_STATEMENT_LINES:
-        with pytest.raises(StatementParseError):
+        with pytest.raises(StatementParseError) as info:
             statement_from_line(bad)
+        assert str(info.value) == f"{_FAULTS[bad]}: {bad!r}"
 
 
 def test_decode_lines_rejects_every_malformed_line():
     obj = PadObject(PAD)
     for bad in MALFORMED_STATEMENT_LINES:
-        with pytest.raises(StatementParseError):
+        with pytest.raises(StatementParseError) as info:
             decode_lines(["1 1", bad], obj)
+        assert str(info.value) == f"{_FAULTS[bad]}: {bad!r}"
 
 
 @st.composite
@@ -224,3 +243,68 @@ def test_encode_lines_rejects_message_longer_than_object():
     with pytest.raises(ValueError, match="independent features"):
         encode_lines(BitString.zeros(11), PadObject(PAD))
     assert encode_lines(BitString(""), PadObject(PAD)) == ""
+
+
+def _decode_per_line(lines, obj):
+    # The reference: statement_from_line on each line, then the 1..width
+    # check, then the claim against the feature.
+    width = obj.entropy_bits
+    bits = []
+    for line in lines:
+        stmt = statement_from_line(line)
+        index = stmt.feature_index
+        if not 1 <= index <= width:
+            raise StatementParseError(f"feature index {index} outside 1..{width}")
+        bits.append(obj.feature(index) ^ stmt.claimed_value)
+    return BitString(bits)
+
+
+@st.composite
+def _statement_lines(draw):
+    # Well-formed lines about PAD, with any whitespace str.split() accepts
+    # and with or without a rendering, then up to three malformed lines or
+    # lines past the pad's end at random places.
+    space = st.sampled_from([" ", "  ", "\t", "\u3000"])
+    well_formed = st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]), st.integers(1, PAD.length), space,
+        st.sampled_from("01"),
+        st.sampled_from(["", " ", " bit 3 of the OTP is 1", "\t7 0 x "]))
+    faulty = st.sampled_from(MALFORMED_STATEMENT_LINES) | st.builds(
+        "{} {}".format, st.integers(PAD.length + 1, PAD.length + 3),
+        st.sampled_from("01"))
+    lines = draw(st.lists(well_formed, max_size=40))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(faulty))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_statement_lines())
+@example(lines=[])
+def test_decode_lines_matches_per_line_reference(lines):
+    obj = PadObject(PAD)
+    try:
+        expected = _decode_per_line(lines, obj)
+    except StatementParseError as exc:
+        with pytest.raises(StatementParseError, match=f"^{re.escape(str(exc))}$"):
+            decode_lines(lines, obj)
+        return
+    assert decode_lines(lines, obj) == expected
+
+
+def test_decode_lines_peak_memory_stays_small():
+    # 100k lines: the decoder holds one pointer per bit and the features'
+    # text, about 1 MiB.  Splitting every line up front would hold tens.
+    n = 100_000
+    pad, message = RandomSource(11).bits(n), RandomSource(12).bits(n)
+    obj = PadObject(pad)
+    lines = encode_lines(message, obj).splitlines()
+    tracemalloc.start()
+    try:
+        decoded = decode_lines(lines, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == message
+    assert peak < 4 << 20, f"decode_lines peaked at {peak / 2**20:.1f} MiB"
