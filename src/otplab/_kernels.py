@@ -1,6 +1,6 @@
-"""Hot-loop kernels: the Monte-Carlo trial loops and the codec census.
+"""Hot-loop kernels: Monte-Carlo trial loops and the closed-form codec census.
 
-Each function replays, word for word, the draw discipline documented in
+Each trial loop replays, word for word, the draw discipline documented in
 :mod:`otplab.rng` and the pad construction in :mod:`otplab.reduction`, and
 the test suite checks it against that library path.  Pads are handled as
 raw integers (value of the bit string read MSB-first), and everything is
@@ -70,12 +70,10 @@ def _lane_chunks(seed: int, trials: int, *values: int) -> Iterator[tuple]:
 
 
 def census_counts(n: int) -> List[int]:
-    """Bits-saved histogram of the trailing-zeros codec over all 2**n pads."""
-    counts = [0] * (n + 1)
-    counts[0] = 1  # the all-zeros pad is the only one that saves nothing
-    for v in range(1, 1 << n):
-        counts[(v & -v).bit_length()] += 1
-    return counts
+    """Bits-saved histogram of the trailing-zeros codec over all 2**n pads,
+    in closed form: a pad ending in 1 and s - 1 zeros saves s bits, and only
+    the all-zeros pad saves nothing."""
+    return [1] + [1 << (n - s) for s in range(1, n + 1)]
 
 
 def reduction_length_counts(n: int, k: int, seed: int, trials: int) -> List[int]:

@@ -27,11 +27,11 @@ from . import _kernels
 from .bitstring import BitString
 from .reduction import (
     ReductionParams,
-    effective_pad,
+    completed_value,
     expected_reduction,
     generate_reduced_pad,
 )
-from .rng import RandomSource, derive_child_seed
+from .rng import _GAMMA, MASK64, RandomSource
 
 # Draws one transmitted pad; its length is the secret transmitted length.
 # Quoted: typing caches subscripts, so a class would outlive a re-import.
@@ -157,7 +157,7 @@ def exhaustive_secrecy_check(
     gen = generator if generator is not None else generate_reduced_pad
 
     def run(src) -> int:
-        return effective_pad(gen(params, src), params).value
+        return completed_value(gen(params, src), params)
 
     counts, w = _count_outcomes(run)
     # |count / 2**w - 2**-n| on one denominator, which also holds for w < n
@@ -192,7 +192,7 @@ def distinguisher_test(
 
     The default path runs on the kernels; passing a ``generator`` (e.g. a
     deliberately biased one) switches to a library-path loop with the same
-    draw discipline.
+    draw discipline, completing each pad with ``reduction.completed_value``.
     """
     if cfg.m0 is None or cfg.m1 is None:
         raise ValueError("distinguisher needs candidate messages m0 and m1")
@@ -205,15 +205,15 @@ def distinguisher_test(
             n, params.k, cfg.m0.value, cfg.m1.value, cfg.seed, cfg.trials
         )
     else:
-        # TrialConfig holds both messages to n bits, as effective_pad does
+        # TrialConfig holds both messages to n bits, as completed_value does
         # every pad, so the ciphertexts are plain integer XORs.
         m0, m1 = cfg.m0.value, cfg.m1.value
         hist0 = [0] * (1 << n)
         hist1 = [0] * (1 << n)
-        for t in range(cfg.trials):
-            src = RandomSource(derive_child_seed(cfg.seed, t))
-            hist0[m0 ^ effective_pad(generator(params, src), params).value] += 1
-            hist1[m1 ^ effective_pad(generator(params, src), params).value] += 1
+        for t in range(1, cfg.trials + 1):  # derive_child_seed(seed, t - 1)
+            src = RandomSource(cfg.seed ^ (_GAMMA * t & MASK64))
+            hist0[m0 ^ completed_value(generator(params, src), params)] += 1
+            hist1[m1 ^ completed_value(generator(params, src), params)] += 1
     tv = sum(abs(a - b) for a, b in zip(hist0, hist1)) / (2 * cfg.trials)
     threshold = 3.0 * math.sqrt((1 << n) / cfg.trials)
     return SecrecyReport(

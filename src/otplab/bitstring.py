@@ -135,6 +135,15 @@ class BitString:
         return f"BitString({self.to01()!r})"
 
 
+def _fitted(value: int, length: int) -> BitString:
+    """:meth:`BitString.from_int` for a caller whose ``value`` fits in
+    ``length`` bits by construction, so the checks are not repeated."""
+    self = object.__new__(BitString)
+    self._value = value
+    self._length = length
+    return self
+
+
 def xor(a: BitString, b: BitString) -> BitString:
     """Bitwise XOR of two equal-length bit strings.
 

@@ -56,9 +56,10 @@ def decompress_pad(c: BitString, n: int) -> BitString:
 
 
 def codec_census(n: int) -> Dict[int, int]:
-    """Saved-bit histogram over all ``2**n`` pads (exhaustive; n <= 20).
+    """Saved-bit histogram over all ``2**n`` pads (n <= 20).
 
-    Maps bits-saved to the number of n-bit pads achieving that saving.
+    Maps bits-saved to the number of n-bit pads achieving that saving, from
+    the closed form :func:`otplab._kernels.census_counts`.
     """
     if not 1 <= n <= 20:
         raise ValueError("census is exhaustive; n must be in 1..20")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .bitstring import BitString, xor
+from .bitstring import BitString, _fitted, xor
 from .padfile import PadFormatError
 from .rng import RandomSource
 
@@ -109,11 +109,11 @@ def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> BitStrin
     if t < k:
         return src.bits(n - (t + 1))
     head = src.bits(n - k).value
-    return BitString.from_int((head << k) | allowed_tails(params)[t - k], n)
+    return _fitted((head << k) | allowed_tails(params)[t - k], n)
 
 
-def effective_pad(pad: BitString, params: ReductionParams) -> BitString:
-    """Complete a transmitted pad to the full ``n`` bits used for XOR.
+def completed_value(pad: BitString, params: ReductionParams) -> int:
+    """The completion rule: the value of ``pad`` completed to ``n`` bits.
 
     Deterministic, so both endpoints compute identical results from their
     shared pad.  A pad whose length lies outside ``n - k .. n`` cannot have
@@ -127,9 +127,15 @@ def effective_pad(pad: BitString, params: ReductionParams) -> BitString:
             f"(expected {n - k}..{n})"
         )
     if length == n:
-        return pad
+        return pad.value
     head = pad.value >> (length - (n - k))
-    return BitString.from_int((head << k) | _reserved_value(params, n - length), n)
+    return (head << k) | _reserved_value(params, n - length)
+
+
+def effective_pad(pad: BitString, params: ReductionParams) -> BitString:
+    """Complete a transmitted pad to the full ``n`` bits used for XOR, by
+    :func:`completed_value`."""
+    return _fitted(completed_value(pad, params), params.n)
 
 
 def encrypt_reduced(

@@ -49,7 +49,7 @@ from functools import cache
 from itertools import tee
 from typing import Iterable, Iterator, Tuple
 
-from .bitstring import BitString
+from .bitstring import BitString, _fitted
 
 MASK64 = (1 << 64) - 1
 
@@ -130,13 +130,13 @@ class RandomSource:
 
     def bits(self, n: int) -> BitString:
         """Draw ``n`` unbiased bits as a :class:`BitString`."""
+        if 0 < n <= 64:  # one word, whose top n bits fit in n bits
+            word, self._state = splitmix64_next(self._state)
+            return _fitted(word >> (64 - n), n)
         if n < 0:
             raise ValueError("bit count must be >= 0")
         if n == 0:
             return BitString.from_int(0, 0)
-        if n <= 64:
-            word, self._state = splitmix64_next(self._state)
-            return BitString.from_int(word >> (64 - n), n)
         # Packed lanes (module docstring) into one buffer converted once:
         # shifting a growing int per chunk would make the draw quadratic.
         nwords = (n + 63) // 64

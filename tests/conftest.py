@@ -102,15 +102,14 @@ def coin_head_mutant(params, src, t):
 
 
 def last_bits_completion_mutant(pad, params):
-    """``effective_pad`` keeping a short pad's *last* n - k bits instead of
+    """``completed_value`` keeping a short pad's *last* n - k bits instead of
     its first.  Every bit of a short pad is uniform, so this mutant is
     equivalent: no check on the completed pad can reject it."""
     n, k = params.n, params.k
     if pad.length == n:
-        return pad
+        return pad.value
     head = pad.value & ((1 << (n - k)) - 1)
-    tail = reserved_pattern(params, n - pad.length).value
-    return BitString.from_int(head << k | tail, n)
+    return head << k | reserved_pattern(params, n - pad.length).value
 
 
 def demo_object():

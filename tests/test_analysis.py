@@ -11,6 +11,7 @@ from otplab.analysis import (
     reduction_stats,
 )
 from otplab.bitstring import BitString
+from otplab.padfile import PadFormatError
 from otplab.reduction import (
     ReductionParams,
     effective_pad,
@@ -144,7 +145,7 @@ def test_mutant_exact_verdicts(mutant, failures, params):
 @pytest.mark.parametrize("params", list(_valid_small_params()),
                          ids=lambda p: f"n{p.n}k{p.k}")
 def test_completion_from_last_bits_is_an_equivalent_mutant(monkeypatch, params):
-    monkeypatch.setattr("otplab.analysis.effective_pad",
+    monkeypatch.setattr("otplab.analysis.completed_value",
                         last_bits_completion_mutant)
     report = exhaustive_secrecy_check(params)
     assert (report.passed, report.deviation) == (True, 0)
@@ -245,6 +246,18 @@ def test_biased_generator_fails_distinguisher():
     report = distinguisher_test(_dist_cfg(4096), generator=biased_generator)
     assert not report.passed
     assert float(report.deviation) == 1.0
+
+
+@pytest.mark.parametrize("length", [7, 11])  # n - k - 1 and n + 1
+def test_library_path_rejects_a_pad_outside_the_length_range(length):
+    cfg = _dist_cfg(5, n=10, k=2)
+
+    def generator(params, src):
+        return src.bits(length)
+
+    with pytest.raises(PadFormatError, match=rf"^pad length {length} "
+                       r"incompatible with n=10, k=2 \(expected 8\.\.10\)$"):
+        distinguisher_test(cfg, generator=generator)
 
 
 def test_generator_override_path_matches_kernel_path():

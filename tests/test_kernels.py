@@ -123,10 +123,14 @@ class TestAgainstLibraryPath:
                 == _histograms(n, ciphertexts[:trials]), trials
 
     def test_census_against_formula(self):
-        for n in (1, 4, 9, 14):
-            counts = _kernels.census_counts(n)
-            assert counts[0] == 1
-            assert counts[1:] == [1 << (n - m - 1) for m in range(n)]
+        # The closed form against a count over every pad: a nonzero pad
+        # saves its trailing zeros and the 1 before them, all-zeros nothing.
+        for n in range(1, 15):
+            counts = [0] * (n + 1)
+            for v in range(1 << n):
+                text = format(v, f"0{n}b")
+                counts[n - len(text.rstrip("0")) + 1 if v else 0] += 1
+            assert _kernels.census_counts(n) == counts
 
 
 def test_kernel_validation():

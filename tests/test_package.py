@@ -11,6 +11,8 @@ from pathlib import Path
 
 import otplab
 import otplab.cli
+from otplab import analysis, reduction
+from otplab.bitstring import BitString
 
 
 def test_all_names_resolve_and_appear_once():
@@ -100,6 +102,26 @@ def test_every_workload_command_runs_under_the_benchmark_tracer(tmp_path):
     words = [s["rng.bits"]["extra"] for s in stats]
     assert words[0] == words[1] > 0
     assert all(s["facts.decode_string"]["calls"] > 0 for s in stats)
+
+
+def test_library_distinguisher_draws_every_word_through_bits():
+    # Per trial: two pads, each a coin and its bits from one bits() call of
+    # one word apiece (n <= 63), completed without a traced effective_pad.
+    tracer = _load_tracer().Tracer()
+    trials, n = 300, 12
+    cfg = analysis.TrialConfig(reduction.ReductionParams(n, 3), trials, 5,
+                               BitString.zeros(n), BitString.ones(n))
+    tracer.install()
+    try:
+        tracer.run_job(0, lambda: analysis.distinguisher_test(
+            cfg, generator=reduction.generate_reduced_pad))
+    finally:
+        tracer.uninstall()
+    (stats,), _, _ = tracer.analyze([(0, 1)])
+    assert stats["reduction.generate_reduced_pad"]["calls"] == 2 * trials
+    assert stats["rng.bits"]["calls"] == 4 * trials
+    assert stats["rng.bits"]["extra"] == 4 * trials  # generator words
+    assert stats["reduction.effective_pad"]["calls"] == 0
 
 
 _REIMPORT = """

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otplab.bitstring import BitString
+from otplab.padfile import PadFormatError
 from otplab.reduction import (
     ReductionParams,
     allowed_tails,
+    completed_value,
     decrypt_reduced,
     effective_pad,
     encrypt_reduced,
@@ -152,6 +155,45 @@ def test_effective_pad_examples():
 def test_effective_pad_rejects_inconsistent_lengths():
     with pytest.raises(ValueError):  # 5 bits, outside 8..10
         effective_pad(BitString("10110"), ReductionParams(10, 2))
+
+
+def _completion_outcome(complete, pad, params):
+    try:
+        return complete(pad, params)
+    except PadFormatError as exc:
+        return PadFormatError, str(exc)
+
+
+def _spelled_out_completion(pad, params):
+    # The module docstring's rule in bit-string terms: a pad n - i bits long
+    # keeps its first n - k bits and gains P_i; a full-length pad passes.
+    n, k = params.n, params.k
+    if not n - k <= len(pad) <= n:
+        raise PadFormatError(f"pad length {len(pad)} incompatible with n={n}, "
+                             f"k={k} (expected {n - k}..{n})")
+    if len(pad) == n:
+        return pad.value
+    return (pad[:n - k] + reserved_pattern(params, n - len(pad))).value
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_completed_value_is_effective_pads_value(n):
+    # Every valid k and every pad length 0..n + 1: every pad value up to
+    # n = 8, then the extremes and 30 random values per length.
+    rnd = random.Random(n)
+    for k in range(1, max_k(n) + 1):
+        params = ReductionParams(n, k)
+        for length in range(n + 2):
+            top = (1 << length) - 1
+            values = (range(top + 1) if n <= 8 else
+                      {0, top} | {rnd.randint(0, top) for _ in range(30)})
+            for v in values:
+                pad = BitString.from_int(v, length)
+                got = _completion_outcome(completed_value, pad, params)
+                assert got == _completion_outcome(
+                    lambda p, q: effective_pad(p, q).value, pad, params)
+                assert got == _completion_outcome(_spelled_out_completion,
+                                                  pad, params)
 
 
 def test_effective_pad_is_deterministic():

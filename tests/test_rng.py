@@ -62,6 +62,15 @@ def test_bits_golden_vector_seed_42():
     assert RandomSource(42).bits(16).value == 48599
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, MASK64])
+def test_one_word_draw_is_the_top_bits_of_one_step(seed):
+    word, state = splitmix64_next(seed)
+    for n in range(1, 65):
+        src = RandomSource(seed)
+        assert src.bits(n) == BitString.from_int(word >> (64 - n), n)
+        assert src._state == state
+
+
 def test_bits_zero_consumes_nothing():
     src = RandomSource(5)
     assert src.bits(0) == BitString("")
