@@ -15,7 +15,12 @@ Each direction has two forms.  :func:`encode_statements` and
 :func:`verify_statements` work on :class:`Statement` values and are the
 reference.  :func:`encode_lines` and :func:`decode_lines` work on the wire
 form, one ``<index> <claimed_value> <rendering>`` line per bit, and build no
-per-line object; the command line uses them.  Both forms share the XOR and
+per-line object; the command line uses them.  :func:`encode_lines` hands
+the whole message's claimed values to the object's one rendering hook,
+:meth:`PrivateObject.render_lines`, which by default calls
+:meth:`PrivateObject.describe` once per line; :class:`PadObject` renders
+all its lines in one comprehension with no Python call per line, from the
+same wording its ``describe`` returns.  Both forms share the XOR and
 the line grammar: one regular expression accepts a line for
 :func:`decode_lines` and for :func:`statement_from_line` alike.
 :func:`decode_lines` matches, bounds-checks and compares each line inline in
@@ -65,10 +70,23 @@ class PrivateObject(abc.ABC):
         return BitString(self.feature(i) for i in range(1, count + 1))
 
     def describe(self, index: int, claimed_value: int) -> str:
-        """Human rendering of the claim 'feature <index> equals <value>';
-        never empty, as :func:`encode_lines` writes it as a line's third
-        field."""
+        """Human rendering of the claim 'feature <index> equals <value>'
+        (1 <= index <= entropy_bits); never empty, as :func:`encode_lines`
+        writes it as a line's third field."""
+        self._check_index(index)
         return f"feature {index} of the object is {claimed_value}"
+
+    def render_lines(self, claims: BitString) -> str:
+        """The wire lines of a whole message whose claimed values about
+        features ``1..len(claims)`` are ``claims``: one
+        ``<index> <claimed_value> <describe(index, claimed_value)>`` line
+        per claim, each ending in a newline.  Subclasses may render all
+        lines at once, as long as the text is the same."""
+        describe = self.describe
+        return "".join([
+            f"{j} {claimed} {describe(j, claimed)}\n"
+            for j, claimed in enumerate(claims, start=1)
+        ])
 
     def _check_index(self, index: int) -> None:
         if not 1 <= index <= self.entropy_bits:
@@ -112,7 +130,21 @@ class PadObject(PrivateObject):
         return self._pad[:count]
 
     def describe(self, index: int, claimed_value: int) -> str:
-        return f"bit {index} of the OTP is {claimed_value}"
+        self._check_index(index)
+        # The rendering is the third field of the claim's one wire line.
+        line = _pad_lines(str(claimed_value), index)[0]
+        return line.split(" ", 2)[2][:-1]
+
+    def render_lines(self, claims: BitString) -> str:
+        return "".join(_pad_lines(claims.to01()))
+
+
+def _pad_lines(claims: str, start: int = 1) -> List[str]:
+    # The pad object's wording, written once: the wire line of each claimed
+    # value in ``claims`` ("0"/"1" text), the first about bit ``start``.
+    # One comprehension, with no Python call per line.
+    return [f"{j} {c} bit {j} of the OTP is {c}\n"
+            for j, c in enumerate(claims, start)]
 
 
 class TableObject(PrivateObject):
@@ -133,6 +165,7 @@ class TableObject(PrivateObject):
         return self._features[index - 1][1]
 
     def describe(self, index: int, claimed_value: int) -> str:
+        self._check_index(index)
         name = self._features[index - 1][0]
         return f"'{name}' is {'true' if claimed_value else 'false'}"
 
@@ -158,12 +191,9 @@ def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]
 
 def encode_lines(message: BitString, obj: PrivateObject) -> str:
     """The wire form of :func:`encode_statements`: one line per message bit,
-    each ending in a newline, built without a :class:`Statement` per line."""
-    describe = obj.describe
-    return "".join([
-        f"{j} {claimed} {describe(j, claimed)}\n"
-        for j, claimed in enumerate(_claims(message, obj), start=1)
-    ])
+    each ending in a newline, built without a :class:`Statement` per line
+    by the object's :meth:`PrivateObject.render_lines`."""
+    return obj.render_lines(_claims(message, obj))
 
 
 def verify_statements(

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple
 
 from .bitstring import BitString, _fitted, xor
@@ -92,11 +91,22 @@ def _reserved_value(params: ReductionParams, i: int) -> int:
     return (params.n - i) & ((1 << params.k) - 1)
 
 
-@lru_cache(maxsize=64)  # every full-length pad draw needs the tails
 def allowed_tails(params: ReductionParams) -> Tuple[int, ...]:
     """The ``2**k - k`` non-reserved k-bit tail values, ascending."""
-    reserved = {_reserved_value(params, i) for i in range(1, params.k + 1)}
-    return tuple(v for v in range(1 << params.k) if v not in reserved)
+    n, k = params.n, params.k
+    return tuple(_allowed_tail(n, k, j) for j in range((1 << k) - k))
+
+
+def _allowed_tail(n: int, k: int, j: int) -> int:
+    # The j-th (from 0) non-reserved tail, in closed form.  The reserved
+    # tails n-k .. n-1 (mod 2**k) are one cyclic run of k values starting
+    # at lo.  If the run wraps past 2**k - 1, the allowed tails are the one
+    # interval wrap .. lo-1; otherwise they are 0 .. lo-1, then lo+k and up.
+    lo = (n - k) & ((1 << k) - 1)
+    wrap = lo + k - (1 << k)
+    if wrap > 0:
+        return j + wrap
+    return j + k if j >= lo else j
 
 
 def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> BitString:
@@ -109,7 +119,7 @@ def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> BitStrin
     if t < k:
         return src.bits(n - (t + 1))
     head = src.bits(n - k).value
-    return _fitted((head << k) | allowed_tails(params)[t - k], n)
+    return _fitted((head << k) | _allowed_tail(n, k, t - k), n)
 
 
 def completed_value(pad: BitString, params: ReductionParams) -> int:

@@ -211,6 +211,20 @@ def test_po_encode_output_is_the_xor_ciphertext_lines(capsys, tmp_path):
     assert out == expected
 
 
+def test_po_encode_output_is_pinned(capsys, tmp_path):
+    # Digest of the output when every line called describe; the pad is
+    # longer than the message.
+    n = 40_000
+    pad_path = tmp_path / "pad.otpd"
+    write_pad(pad_path, RandomSource(42).bits(n + 7))
+    code, out, _ = run(capsys, "po-encode", "--pad", str(pad_path),
+                       "--in", RandomSource(41).bits(n).to01())
+    assert code == 0
+    assert out.count("\n") == n
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "855cfe390d8cb87fc1ab82eff0193949d98276c1621e37590c1e714bab0dbfe6")
+
+
 def test_po_encode_empty_message_writes_nothing(capsys, pad_file):
     assert run(capsys, "po-encode", "--pad", pad_file, "--in", "") == (0, "", "")
 

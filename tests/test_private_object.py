@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ from otplab.bitstring import BitString, xor
 from otplab.otp import encrypt
 from otplab.private_object import (
     PadObject,
+    PrivateObject,
     Statement,
     StatementParseError,
     TableObject,
@@ -308,3 +310,82 @@ def test_decode_lines_peak_memory_stays_small():
         tracemalloc.stop()
     assert decoded == message
     assert peak < 4 << 20, f"decode_lines peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("obj", [PadObject(BitString("101")),
+                                 TableObject([("a", 1), ("b", 0)])])
+def test_describe_refuses_an_index_outside_the_object(obj):
+    # An index is 1-based: 0 must not wrap to the last feature, and one
+    # past the end must name the range rather than raise IndexError.
+    width = obj.entropy_bits
+    for index in (0, width + 1):
+        with pytest.raises(ValueError, match=rf"^feature index {index} outside 1\.\.{width}$"):
+            obj.describe(index, 1)
+    for index in (1, width):
+        assert obj.describe(index, 1)
+
+
+def test_describe_examples_at_the_two_ends():
+    pad = PadObject(BitString("101"))
+    assert pad.describe(1, 1) == "bit 1 of the OTP is 1"
+    assert pad.describe(3, 0) == "bit 3 of the OTP is 0"
+    table = TableObject([("a", 1), ("b", 0)])
+    assert table.describe(1, 1) == "'a' is true"
+    assert table.describe(2, 0) == "'b' is false"
+
+
+def _reference_lines(message, obj):
+    # One describe call per line: the rendering every object must match.
+    claims = encode_statements(message, obj)
+    return "".join(f"{s.feature_index} {s.claimed_value} "
+                   f"{obj.describe(s.feature_index, s.claimed_value)}\n"
+                   for s in claims)
+
+
+@st.composite
+def _pads_and_messages(draw):
+    # A pad at least as long as the message, often longer.
+    n = draw(st.integers(1, 300))
+    message = draw(bitstrings(min_len=n, max_len=n))
+    return draw(bitstrings(min_len=n, max_len=n + draw(st.integers(0, 40)))), message
+
+
+@settings(max_examples=200)
+@given(_pads_and_messages())
+@example(case=(BitString("1"), BitString("0")))
+@example(case=(BitString("0"), BitString("0")))
+@example(case=(BitString("0110"), BitString("1")))
+def test_pad_object_renders_every_line_as_describe_does(case):
+    pad, message = case
+    obj = PadObject(pad)
+    wire = encode_lines(message, obj)
+    assert wire == _reference_lines(message, obj)
+    assert decode_lines(wire.splitlines(), obj) == message
+
+
+class _Coin(PrivateObject):
+    # A user object that overrides only describe.
+    entropy_bits = 6
+
+    def feature(self, index):
+        self._check_index(index)
+        return index % 2
+
+    def describe(self, index, claimed_value):
+        return f"coin {index} shows {'heads' if claimed_value else 'tails'}"
+
+
+@pytest.mark.parametrize("obj", [demo_object(), _Coin()])
+def test_other_objects_still_render_through_describe(obj):
+    message = BitString("011010")
+    wire = encode_lines(message, obj)
+    assert wire == _reference_lines(message, obj)
+    assert decode_lines(wire.splitlines(), obj) == message
+
+
+def test_table_object_lines_are_pinned():
+    # Digest of the lines rendered by one describe call per line.
+    obj = TableObject([(f"feature {i}", i % 3 == 0) for i in range(50)])
+    wire = encode_lines(RandomSource(5).bits(50), obj)
+    assert hashlib.sha256(wire.encode()).hexdigest() == (
+        "d702e552a5afcd93e109f2a16764bc0bda2a474c0d8f094529ff660da22de328")

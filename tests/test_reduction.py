@@ -9,6 +9,7 @@ from otplab.bitstring import BitString
 from otplab.padfile import PadFormatError
 from otplab.reduction import (
     ReductionParams,
+    _allowed_tail,
     allowed_tails,
     completed_value,
     decrypt_reduced,
@@ -91,13 +92,41 @@ def test_single_bit_path_is_the_parity_rule():
 
 
 def test_allowed_tails_complement_reserved():
-    for n, k in [(10, 1), (10, 2), (10, 3), (12, 4), (38, 6)]:
-        params = ReductionParams(n, k)
-        reserved = {reserved_pattern(params, i).value for i in range(1, k + 1)}
-        tails = allowed_tails(params)
-        assert len(tails) == (1 << k) - k
-        assert set(tails) | reserved == set(range(1 << k))
-        assert list(tails) == sorted(tails)
+    # Every valid (n, k) with n <= 256: the closed form lists exactly the
+    # tails that are not reserved, ascending.
+    for n in range(2, 257):
+        for k in range(1, max_k(n) + 1):
+            params = ReductionParams(n, k)
+            reserved = {reserved_pattern(params, i).value for i in range(1, k + 1)}
+            assert allowed_tails(params) == tuple(
+                v for v in range(1 << k) if v not in reserved), (n, k)
+
+
+def _complement_at(reserved, j):
+    # The j-th (from 0) value not in ``reserved``, by counting: the least v
+    # with v - |{r in reserved: r <= v}| == j and v not reserved.
+    v = j
+    while True:
+        nxt = j + sum(1 for r in reserved if r <= v)
+        if nxt == v:
+            return v
+        v = nxt
+
+
+@pytest.mark.parametrize("n, k", [(1 << 40, 40), ((1 << 63) + 64, 64)])
+def test_allowed_tail_closed_form_at_wide_k(n, k):
+    # Too many tails to list: check the closed form against counting at the
+    # two ends and around each end of the reserved run.
+    params = ReductionParams(n, k)
+    reserved = {reserved_pattern(params, i).value for i in range(1, k + 1)}
+    lo = (n - k) % (1 << k)
+    last = (1 << k) - k - 1
+    for j in {0, 1, lo - 1, lo, lo + 1, last - 1, last}:
+        if not 0 <= j <= last:
+            continue
+        tail = _allowed_tail(n, k, j)
+        assert tail == _complement_at(reserved, j), (n, k, j)
+        assert tail not in reserved
 
 
 def test_transmitted_length_weights():
