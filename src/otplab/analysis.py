@@ -8,8 +8,7 @@ distribution message-independent, which is the whole secrecy claim.
 
 The statistical harness replays the same protocol at scale.  Every trial is
 keyed off its own child seed (see :func:`otplab.rng.derive_child_seed`), so
-results depend only on ``(seed, trial_index)``: chunks of a run can execute
-in any order, or in parallel, and merge into the identical report.
+each trial's draws depend only on ``(seed, trial_index)``.
 
 Thresholds are carried inside the reports rather than buried in test code,
 so a failing check can be read directly off its output.
@@ -31,7 +30,7 @@ from .reduction import (
     expected_reduction,
     generate_reduced_pad,
 )
-from .rng import _GAMMA, MASK64, RandomSource
+from .rng import RandomSource, derive_child_seed
 
 # Draws one transmitted pad; its length is the secret transmitted length.
 # Quoted: typing caches subscripts, so a class would outlive a re-import.
@@ -126,15 +125,16 @@ class _IntTape:
         return BitString.from_int(head, n)
 
 
-def _count_outcomes(run, max_total_bits: int = 20) -> Tuple[Counter, int]:
+def _count_outcomes(run) -> Tuple[Counter, int]:
     """Count ``run``'s results over all ``2**w`` tapes; return them and ``w``.
 
     ``run`` takes a source and may only draw through ``bits``; ``w`` grows to
-    the most bits any run draws.  Disjoint slices of a uniform tape are
-    independent and uniform, so each result has probability ``count / 2**w``.
+    the most bits any run draws, at most 20.  Disjoint slices of a uniform
+    tape are independent and uniform, so each result has probability
+    ``count / 2**w``.
     """
     w = 0
-    while w <= max_total_bits:
+    while w <= 20:
         try:
             return Counter(run(_IntTape(t, w)) for t in range(1 << w)), w
         except _TapeTooShort as short:
@@ -210,8 +210,8 @@ def distinguisher_test(
         m0, m1 = cfg.m0.value, cfg.m1.value
         hist0 = [0] * (1 << n)
         hist1 = [0] * (1 << n)
-        for t in range(1, cfg.trials + 1):  # derive_child_seed(seed, t - 1)
-            src = RandomSource(cfg.seed ^ (_GAMMA * t & MASK64))
+        for t in range(cfg.trials):
+            src = RandomSource(derive_child_seed(cfg.seed, t))
             hist0[m0 ^ completed_value(generator(params, src), params)] += 1
             hist1[m1 ^ completed_value(generator(params, src), params)] += 1
     tv = sum(abs(a - b) for a, b in zip(hist0, hist1)) / (2 * cfg.trials)

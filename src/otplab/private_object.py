@@ -131,20 +131,12 @@ class PadObject(PrivateObject):
 
     def describe(self, index: int, claimed_value: int) -> str:
         self._check_index(index)
-        # The rendering is the third field of the claim's one wire line.
-        line = _pad_lines(str(claimed_value), index)[0]
-        return line.split(" ", 2)[2][:-1]
+        return f"bit {index} of the OTP is {claimed_value}"
 
     def render_lines(self, claims: BitString) -> str:
-        return "".join(_pad_lines(claims.to01()))
-
-
-def _pad_lines(claims: str, start: int = 1) -> List[str]:
-    # The pad object's wording, written once: the wire line of each claimed
-    # value in ``claims`` ("0"/"1" text), the first about bit ``start``.
-    # One comprehension, with no Python call per line.
-    return [f"{j} {c} bit {j} of the OTP is {c}\n"
-            for j, c in enumerate(claims, start)]
+        # describe's wording, one comprehension with no Python call per line
+        return "".join([f"{j} {c} bit {j} of the OTP is {c}\n"
+                        for j, c in enumerate(claims.to01(), start=1)])
 
 
 class TableObject(PrivateObject):

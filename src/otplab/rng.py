@@ -19,8 +19,9 @@ Draw discipline (part of the pinned contract, mirrored by the pure-Python
   rejects values >= n, so it is exactly uniform.  ``randbelow(1)`` consumes
   nothing.
 * ``randbelow_many(bounds)`` consumes exactly the words of one ``randbelow``
-  per bound, in order.  It draws them through ``bits`` in rounds of at most
-  ``_CHUNK`` words, none past what the draws still to come must consume.
+  per bound, in order.  Every bound is checked before the first draw.  It
+  draws the words through ``bits`` in rounds of at most ``_CHUNK`` words,
+  each within the words that one attempt per remaining bound owes.
 
 A RandomSource is single-owner: concurrent draws from one source are
 forbidden.  Parallel work derives independent child seeds instead, see
@@ -46,7 +47,6 @@ from __future__ import annotations
 import struct
 import sys
 from functools import cache
-from itertools import tee
 from typing import Iterable, Iterator, Tuple
 
 from .bitstring import BitString, _fitted
@@ -165,27 +165,23 @@ class RandomSource:
     def randbelow_many(self, bounds: Iterable[int]) -> Iterator[int]:
         """Yield ``randbelow(n)`` for each ``n`` in ``bounds``, drawing the
         words of one call per bound as the module docstring says; a bound
-        below 1 raises :class:`ValueError` before a round can reach it."""
-        bounds, ahead = tee(bounds)
-        owed = 0  # one attempt's words per bound read ahead and not yet done
+        below 1 raises :class:`ValueError` before the first draw."""
+        bounds = list(bounds)
+        if min(bounds, default=1) < 1:
+            raise ValueError("randbelow needs n >= 1")
+        # One attempt's words per bound not yet done; a round never draws more.
+        owed = sum(((n - 1).bit_length() + 63) // 64 for n in bounds)
         words, i = [], 0  # drawn words and how many of them are read
         for n in bounds:
             nbits = (n - 1).bit_length()
             need = (nbits + 63) // 64  # words per attempt
             v = n if need else 0
             while v >= n:
-                if need > len(words) - i:  # top up, keeping the unread words
+                while need > len(words) - i:  # top up, keep the unread words
                     words, i = words[i:], 0
-                    while need > len(words):
-                        for m in ahead:  # read ahead for a full round
-                            if m <= 0:
-                                raise ValueError("randbelow needs n >= 1")
-                            owed += ((m - 1).bit_length() + 63) // 64
-                            if owed - len(words) >= _CHUNK:
-                                break
-                        r = min(_CHUNK, owed - len(words))
-                        raw = self.bits(64 * r).value.to_bytes(8 * r, "big")
-                        words += struct.unpack(f">{r}Q", raw)
+                    r = min(_CHUNK, owed - len(words))
+                    raw = self.bits(64 * r).value.to_bytes(8 * r, "big")
+                    words += struct.unpack(f">{r}Q", raw)
                 v = words[i] if need == 1 else int.from_bytes(
                     struct.pack(f">{need}Q", *words[i:i + need]), "big")
                 v >>= 64 * need - nbits

@@ -329,6 +329,9 @@ def test_describe_examples_at_the_two_ends():
     pad = PadObject(BitString("101"))
     assert pad.describe(1, 1) == "bit 1 of the OTP is 1"
     assert pad.describe(3, 0) == "bit 3 of the OTP is 0"
+    # The claimed value is rendered whole, as the base class does.
+    assert pad.describe(2, True) == "bit 2 of the OTP is True"
+    assert pad.describe(2, 10) == "bit 2 of the OTP is 10"
     table = TableObject([("a", 1), ("b", 0)])
     assert table.describe(1, 1) == "'a' is true"
     assert table.describe(2, 0) == "'b' is false"

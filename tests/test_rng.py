@@ -192,10 +192,13 @@ def test_randbelow_many_draws_few_bounded_rounds():
 
 
 def test_randbelow_many_rejects_a_bound_below_one_before_drawing():
-    for bounds in ([0], [7, 2**70, -3, 3], [1] * 5000 + [0]):
+    late = [5] * 5000 + [0]  # past the first full round of words
+    for bounds in ([0], [7, 2**70, -3, 3], [1] * 5000 + [0], late, iter(late)):
         src = RandomSource(9)
+        drawn = []
         with pytest.raises(ValueError, match="n >= 1"):
-            list(src.randbelow_many(bounds))
+            drawn.extend(src.randbelow_many(bounds))
+        assert drawn == []  # refused before the first value
         assert src._state == 9  # the first round would have drawn its words
 
 
