@@ -7,7 +7,8 @@ raw integers (value of the bit string read MSB-first), and everything is
 standard-library Python.
 
 :mod:`otplab.reduction` owns the protocol rules: which ``(n, k)`` are valid,
-the reserved tails and the allowed tails.  The kernels take them from there.
+and the one coin -> tail bijection that completes a pad.  The kernels take
+them from there.
 The eve and distinguisher kernels add one limit of their own, ``n <= 63``,
 because each message and pad is cut from a single 64-bit generator word.  The
 reduction kernel draws only the k-bit length coin, so n is free, but the coin
@@ -23,8 +24,8 @@ The distinguisher and reduction kernels step ``_CHUNK`` trials at once in
 the packed lanes explained in :mod:`otplab.rng`, lane ``i`` starting at the
 child seed of trial ``t0 + i``, and count a small key from each lane's low
 word with a ``Counter``: a reduction coin maps to its length index, and the
-distinguisher's ``(head << k) | coin`` goes through one ``tail_of`` table, as
-the coin alone picks the completed tail (``P_(coin+1)`` or an allowed tail).
+distinguisher's ``(head << k) | coin`` goes through one ``tail_of`` table of
+that bijection, as the coin alone picks the completed tail.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, List, Tuple
 
-from .reduction import ReductionParams, allowed_tails, reserved_pattern
+from .reduction import ReductionParams, _completed_tail
 from .rng import (MASK64, _CHUNK, _GAMMA, _lane_constants, _low_words,
                   _splitmix64_lanes, derive_child_seed, splitmix64_next)
 
@@ -44,13 +45,12 @@ def available_impls() -> tuple:
     return (IMPL_NAME,)
 
 
-def _params(n: int, k: int) -> ReductionParams:
-    params = ReductionParams(n, k)
+def _params(n: int, k: int) -> None:
+    ReductionParams(n, k)
     if n > 63:
         raise ValueError(
             f"kernels cut each pad from one 64-bit word; need n <= 63, got n={n}"
         )
-    return params
 
 
 def _lane_chunks(seed: int, trials: int, *values: int) -> Iterator[tuple]:
@@ -117,10 +117,8 @@ def distinguisher_counts(
     n: int, k: int, m0: int, m1: int, seed: int, trials: int
 ) -> Tuple[List[int], List[int]]:
     """Ciphertext histograms for the two candidate messages."""
-    params = _params(n, k)
-    # Completed tail by coin: a permutation of the 2**k tails.
-    tail_of = [reserved_pattern(params, i).value for i in range(1, k + 1)]
-    tail_of += allowed_tails(params)
+    _params(n, k)
+    tail_of = [_completed_tail(n, k, t) for t in range(1 << k)]
     kmask = (1 << k) - 1
     keys0: Counter = Counter()
     keys1: Counter = Counter()

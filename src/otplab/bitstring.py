@@ -90,8 +90,6 @@ class BitString:
             if step != 1:
                 raise ValueError("BitString slices must be contiguous (step 1)")
             width = max(0, stop - start)
-            if width == 0:
-                return BitString.from_int(0, 0)
             chunk = (self._value >> (self._length - stop)) & ((1 << width) - 1)
             return BitString.from_int(chunk, width)
         if index < 0:

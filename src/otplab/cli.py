@@ -2,7 +2,8 @@
 
 There is no network transport here: the "secure channel" is a pad file
 handed over out-of-band, the "public channel" is standard output.  Exit
-codes: 0 success, 2 usage / precondition error, 3 data or corruption error.
+codes: 0 success, 2 usage / precondition error or out of memory, 3 data or
+corruption error.
 """
 
 from __future__ import annotations
@@ -180,7 +181,10 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building it costs more than most commands on small inputs.
     parser = argparse.ArgumentParser(
         prog="otplab",
         description="One-time-pad laboratory: pads, reduced pads, codecs, "
@@ -262,15 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing leaves the parser unchanged, and
-    # building it costs more than most commands on small inputs.
-    return build_parser()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PadFormatError, CorruptPadError, ParseError, StatementParseError,
@@ -279,6 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

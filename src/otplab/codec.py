@@ -25,9 +25,8 @@ def compress_pad(p: BitString) -> BitString:
     """Drop the trailing zeros and the ``1`` before them; all-zeros passes through."""
     if p.length < 1:
         raise ValueError("cannot compress an empty pad")
-    if p.value == 0:
-        return p
-    # Trailing zeros of the written form = low-order zero bits of the value.
+    # Trailing zeros of the written form = low-order zero bits of the value;
+    # the all-zeros pad has none set, so it drops nothing.
     drop = (p.value & -p.value).bit_length()  # trailing zeros + 1
     return BitString.from_int(p.value >> drop, p.length - drop)
 
@@ -63,5 +62,4 @@ def codec_census(n: int) -> Dict[int, int]:
     """
     if not 1 <= n <= 20:
         raise ValueError("census is exhaustive; n must be in 1..20")
-    counts = census_counts(n)
-    return {saving: c for saving, c in enumerate(counts) if c}
+    return dict(enumerate(census_counts(n)))

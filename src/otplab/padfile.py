@@ -52,14 +52,12 @@ def serialize_pad(bits: BitString) -> bytes:
 
 def deserialize_pad(data: bytes) -> BitString:
     """Decode an OTPD container; the exact inverse of :func:`serialize_pad`."""
+    if data[: len(MAGIC)] != MAGIC[: len(data)]:
+        raise BadMagicError("not an OTPD pad (bad magic)")
     if len(data) < _HEADER_LEN:
-        if data[: len(MAGIC)] != MAGIC[: len(data)]:
-            raise BadMagicError("not an OTPD pad (bad magic)")
         raise TruncatedPadError(
             f"pad header truncated: got {len(data)} bytes, need {_HEADER_LEN}"
         )
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError("not an OTPD pad (bad magic)")
     count = int.from_bytes(data[len(MAGIC) : _HEADER_LEN], "big")
     nbytes = (count + 7) // 8
     body = data[_HEADER_LEN:]
@@ -79,8 +77,9 @@ def deserialize_pad(data: bytes) -> BitString:
 
 
 def write_pad(path: "os.PathLike[str] | str", bits: BitString) -> None:
+    data = serialize_pad(bits)  # first: a pad too large leaves no empty file
     with open(path, "wb") as fh:
-        fh.write(serialize_pad(bits))
+        fh.write(data)
 
 
 def read_pad(path: "os.PathLike[str] | str") -> BitString:

@@ -146,6 +146,8 @@ class TableObject(PrivateObject):
         for name, value in features:
             if value not in (0, 1):
                 raise ValueError(f"feature {name!r} must be 0 or 1")
+            if name and name.splitlines() != [name]:  # one statement, one line
+                raise ValueError(f"feature name {name!r} contains a line break")
         self._features = tuple(features)
 
     @property

@@ -7,30 +7,25 @@ plain :class:`~otplab.bitstring.BitString`, so that secret is simply its bit
 count.  Before use, both parties deterministically complete the transmitted
 pad to ``n`` bits.
 
-Construction, for a reduction bound ``k`` (valid while ``n >= k + 2**(k-1)``):
+Construction, for a reduction bound ``k`` (valid while ``n >= k + 2**(k-1)``).
+The sender draws one ``k``-bit coin ``t``; the coin alone picks the completed
+pad's ``k``-bit tail:
 
-* Reserved tail patterns ``P_1 .. P_k``: ``P_i`` is the ``k`` low-order bits
-  of the integer ``n - i``.  Consecutive integers are distinct mod ``2**k``,
-  so the patterns are pairwise distinct.
-* The sender draws one ``k``-bit coin ``t``:
+* ``t < k``: the reserved tail ``P_(t+1)``, where ``P_i`` is the ``k``
+  low-order bits of ``n - i``.  The sender transmits a fully random pad of
+  length ``n - (t + 1)``; completion cuts a pad ``i`` bits short to its
+  first ``n - k`` bits and appends ``P_i``.
+* ``t >= k``: the ``(t - k)``-th (ascending) of the ``2**k - k`` tails that
+  are not reserved.  The sender transmits ``n - k`` random bits and that
+  tail; completion passes a full-length pad through unchanged.
 
-  - ``t < k``: transmit a fully random pad of length ``n - (t + 1)``.
-  - ``t >= k``: transmit a full-length pad whose first ``n - k`` bits are
-    random and whose tail is the ``(t - k)``-th element (ascending) of the
-    ``2**k - k`` non-reserved patterns.
-
-* Completion: a pad of length ``n - i`` keeps its first ``n - k`` bits and
-  gains the tail ``P_i``; a full-length pad passes through unchanged.
-
-Every k-bit tail of the completed pad therefore occurs with probability
-exactly ``2**-k`` (reserved patterns via the short branches, the rest via
-direct indexing), so the completed pad is uniform over all ``2**n`` values
-and ciphertexts carry no information about the message.  The ``k = 1`` case
-degenerates to a parity rule: append the low bit of ``n - 1`` to a short
-pad, force a full-length pad's last bit to its complement.
-
-The coin mapping above is deliberately rejection-free so that a pad draw
-always consumes the same number of generator words.
+Consecutive integers are distinct mod ``2**k``, so the coin -> tail map is a
+bijection: a uniform coin gives a uniform tail, the completed pad is uniform
+over all ``2**n`` values, and ciphertexts carry no information about the
+message (Shannon 1949).  For ``k = 1`` it is a parity rule: append the low
+bit of ``n - 1`` to a short pad, force a full-length pad's last bit to its
+complement.  The map needs no rejection, so a pad draw always consumes the
+same number of generator words.
 """
 
 from __future__ import annotations
@@ -83,26 +78,25 @@ def reserved_pattern(params: ReductionParams, i: int) -> BitString:
     (1 <= i <= k)."""
     if not 1 <= i <= params.k:
         raise ValueError(f"pattern index {i} outside 1..{params.k}")
-    return BitString.from_int(_reserved_value(params, i), params.k)
-
-
-def _reserved_value(params: ReductionParams, i: int) -> int:
-    # P_i: the k low-order bits of n - i.
-    return (params.n - i) & ((1 << params.k) - 1)
+    return BitString.from_int(_completed_tail(params.n, params.k, i - 1), params.k)
 
 
 def allowed_tails(params: ReductionParams) -> Tuple[int, ...]:
     """The ``2**k - k`` non-reserved k-bit tail values, ascending."""
     n, k = params.n, params.k
-    return tuple(_allowed_tail(n, k, j) for j in range((1 << k) - k))
+    return tuple(_completed_tail(n, k, t) for t in range(k, 1 << k))
 
 
-def _allowed_tail(n: int, k: int, j: int) -> int:
-    # The j-th (from 0) non-reserved tail, in closed form.  The reserved
-    # tails n-k .. n-1 (mod 2**k) are one cyclic run of k values starting
-    # at lo.  If the run wraps past 2**k - 1, the allowed tails are the one
+def _completed_tail(n: int, k: int, t: int) -> int:
+    # The completed pad's k-bit tail for coin t (module docstring).  The
+    # reserved tails n-k .. n-1 (mod 2**k) are one cyclic run of k values
+    # starting at lo.  If the run wraps past 2**k - 1, the others are the one
     # interval wrap .. lo-1; otherwise they are 0 .. lo-1, then lo+k and up.
-    lo = (n - k) & ((1 << k) - 1)
+    mask = (1 << k) - 1
+    if t < k:
+        return (n - t - 1) & mask
+    j = t - k
+    lo = (n - k) & mask
     wrap = lo + k - (1 << k)
     if wrap > 0:
         return j + wrap
@@ -112,14 +106,14 @@ def _allowed_tail(n: int, k: int, j: int) -> int:
 def generate_reduced_pad(params: ReductionParams, src: RandomSource) -> BitString:
     """Draw a transmitted pad under the length-reduction protocol; its
     length is the secret transmitted length."""
-    # One k-bit draw decides both the pad length and, for full-length pads,
-    # which allowed tail is used; no rejection, constant draws per pad.
+    # One k-bit coin decides both the pad length and the completed tail;
+    # no rejection, constant draws per pad.
     n, k = params.n, params.k
     t = src.bits(k).value
     if t < k:
         return src.bits(n - (t + 1))
     head = src.bits(n - k).value
-    return _fitted((head << k) | _allowed_tail(n, k, t - k), n)
+    return _fitted((head << k) | _completed_tail(n, k, t), n)
 
 
 def completed_value(pad: BitString, params: ReductionParams) -> int:
@@ -139,7 +133,7 @@ def completed_value(pad: BitString, params: ReductionParams) -> int:
     if length == n:
         return pad.value
     head = pad.value >> (length - (n - k))
-    return (head << k) | _reserved_value(params, n - length)
+    return (head << k) | _completed_tail(n, k, n - length - 1)
 
 
 def effective_pad(pad: BitString, params: ReductionParams) -> BitString:

@@ -9,7 +9,7 @@ This is a *deterministic* generator standing in for the perfect random
 source the protocols assume.  It makes no cryptographic claim; see the
 README for the consequences of that substitution.
 
-Draw discipline (part of the pinned contract, mirrored by the pure-Python
+Draw discipline (part of the pinned contract, mirrored by
 :mod:`otplab._kernels`):
 
 * ``bits(n)`` consumes exactly ``ceil(n / 64)`` generator words; the result
@@ -135,8 +135,6 @@ class RandomSource:
             return _fitted(word >> (64 - n), n)
         if n < 0:
             raise ValueError("bit count must be >= 0")
-        if n == 0:
-            return BitString.from_int(0, 0)
         # Packed lanes (module docstring) into one buffer converted once:
         # shifting a growing int per chunk would make the draw quadratic.
         nwords = (n + 63) // 64

@@ -611,6 +611,23 @@ def test_draw_past_memory_is_exit_2(tmp_path, argv):
     assert not (tmp_path / "pad.otpd").exists()
 
 
+def test_decompress_past_memory_is_exit_2(tmp_path):
+    # Restoring a 16-bit pad to 10**14 bits cannot allocate the result
+    # under a 1 GB address-space limit: one error line, no traceback.
+    pad, out = tmp_path / "pad.otpd", tmp_path / "out.otpd"
+    write_pad(pad, BitString("1011001110001111"))
+    argv = [sys.executable, "-m", "otplab.cli", "pad-decompress", "--in", str(pad),
+            "--out", str(out), "--message-length", "100000000000000"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(argv, capture_output=True, timeout=5,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_limit_address_space)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (2, b""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_multi_chunk_pad_files_are_pinned(capsys, tmp_path):
     # Digests taken from the one-call-per-word draw; both pads span many
     # packed chunks of 2048 words.

@@ -44,6 +44,33 @@ def test_benchmark_traced_names_resolve():
     assert set(tracer.SIZES) <= set(tracer.TRACED)
 
 
+_TRACED_SETUP = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+run.fresh_import()
+tracer = run.tracing.Tracer()
+tracer.install()
+tracer.uninstall()
+"""
+
+
+def test_benchmark_traced_setup_runs_in_a_fresh_interpreter():
+    # The traced run's set-up, in a new process: import otplab afresh as the
+    # benchmark does, then wrap every traced name.  Tracer.install looks
+    # each module up in sys.modules, so it fails when ``import otplab`` no
+    # longer imports a traced module, which the test above cannot see.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_SETUP, str(root / "perfbench" / "run.py")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _cli_jobs(d):
     # One tiny job of every command the benchmark's workloads send, in chain
     # order: later jobs read the files earlier ones write.

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from otplab import padfile
 from otplab.bitstring import BitString
 from otplab.padfile import (
     BadMagicError,
@@ -90,3 +91,15 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "pad.otpd"
     write_pad(path, p)
     assert read_pad(path) == p
+
+
+def test_write_pad_out_of_memory_leaves_no_file(tmp_path, monkeypatch):
+    # A pad whose container cannot be built in memory (a keygen of 2.4 Gbit
+    # under a 1 GB address-space limit) must not leave an empty pad file.
+    def out_of_memory(bits):
+        raise MemoryError
+    monkeypatch.setattr(padfile, "serialize_pad", out_of_memory)
+    path = tmp_path / "pad.otpd"
+    with pytest.raises(MemoryError):
+        write_pad(path, BitString("1011"))
+    assert not path.exists()

@@ -125,6 +125,10 @@ def test_table_object_and_demo():
     assert verify_statements(encode_statements(m, obj), obj) == m
     with pytest.raises(ValueError):
         TableObject([("broken", 2)])
+    assert TableObject([("", 1)]).describe(1, 1) == "'' is true"
+    for name in ("a\nb", "a\r\n", "x\u2028y", "a\x85b"):
+        with pytest.raises(ValueError, match="line break"):
+            TableObject([(name, 1), ("c", 0)])
 
 
 def test_statement_equality_ignores_rendering():

@@ -9,7 +9,7 @@ from otplab.bitstring import BitString
 from otplab.padfile import PadFormatError
 from otplab.reduction import (
     ReductionParams,
-    _allowed_tail,
+    _completed_tail,
     allowed_tails,
     completed_value,
     decrypt_reduced,
@@ -124,7 +124,7 @@ def test_allowed_tail_closed_form_at_wide_k(n, k):
     for j in {0, 1, lo - 1, lo, lo + 1, last - 1, last}:
         if not 0 <= j <= last:
             continue
-        tail = _allowed_tail(n, k, j)
+        tail = _completed_tail(n, k, k + j)
         assert tail == _complement_at(reserved, j), (n, k, j)
         assert tail not in reserved
 
