@@ -19,19 +19,20 @@ independent check :func:`derive_oracle` knows nothing about it: it searches
 derivations mechanically from the axioms.
 
 The grammar is one regular expression.  :func:`encode_lines` draws all of
-a message's ranks in one :meth:`RandomSource.randbelow_many` and unranks
-each within its bit's class in closed form, in the order
-:func:`enumerate_wellformed` fixes: a lookup in the cumulative counts per
-hyphen total, then the root of a quadratic for ``x``; :func:`encode_bit` is
-its one-bit case.  The size bound is capped at :data:`MAX_SIZE_BOUND`, so
-that every string fits on one text line.  A small bound leaves few strings
-per class (55 theorems and 1,485 non-theorems at 24), so a long message
-repeats them: each whole-message call keeps its own tables, from rank to
-rendered line per class in :func:`encode_lines` and from line to bit in
-:func:`decode_lines`, and unranks and renders, or parses, each distinct
-string once; every repeat is a dictionary lookup.  The encoder and the
-decoder work on the group sizes and build no :class:`PqString`;
-:func:`parse_pq` and ``PqString.render`` share their matcher and renderer.
+a message's ranks in one :meth:`RandomSource.randbelow_many` and looks each
+up in its bit's class, in the order :func:`enumerate_wellformed` fixes;
+:func:`encode_bit` is its one-bit case.  The size bound is capped at
+:data:`MAX_SIZE_BOUND`, so that every string fits on one text line.  A
+class no larger than the message's count of its bit (55 theorems and 1,485
+non-theorems at bound 24) is rendered whole, every line in rank order, so a
+repeat costs a list index and the list never holds more lines than the
+class adds to the output.  A larger class keeps a lazy table from rank to
+line that unranks each distinct rank once in closed form: a lookup in the
+cumulative counts per hyphen total, then the root of a quadratic for ``x``.
+:func:`decode_lines` keeps a table from line to bit and parses each
+distinct line once.  The encoder and the decoder work on the group sizes
+and build no :class:`PqString`; :func:`parse_pq` and ``PqString.render``
+share their matcher and renderer.
 
 The system is decidable and consistent, which is precisely what makes the
 receiver's verdict computable; it is also utterly insecure, and nothing
@@ -46,8 +47,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from operator import getitem
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from .bitstring import BitString
 from .rng import RandomSource
@@ -166,6 +166,12 @@ def _unrank_theorem(rank: int) -> Tuple[int, int, int]:
     return x, u + 2 - x, u + 2
 
 
+def _theorem_lines(budget: int) -> List[str]:
+    # Every theorem's line, in rank order: by z, then x.
+    return [_line(x, z - x, z)
+            for z in range(2, budget // 2 + 1) for x in range(1, z)]
+
+
 def _count_nontheorems(budget: int) -> int:
     # Compositions of s into 3 positive parts, summed over s <= budget, less
     # the theorems among them.
@@ -208,6 +214,13 @@ def _unrank_nontheorem(rank: int, budget: int) -> Tuple[int, int, int]:
     return x, y, total - x - y
 
 
+def _nontheorem_lines(budget: int) -> List[str]:
+    # Every non-theorem's line, in rank order: by total hyphens, then x, then y.
+    return [_line(x, y, total - x - y) for total in range(3, budget + 1)
+            for x in range(1, total - 1) for y in range(1, total - x)
+            if 2 * (x + y) != total]
+
+
 class _Table(dict):
     """One call's table of ``fn(key)``, computed at a key's first lookup."""
 
@@ -242,10 +255,15 @@ def encode_lines(message: BitString, src: RandomSource, size_bound: int) -> str:
         )
     budget = size_bound - 2
     counts = (_count_theorems(budget), _count_nontheorems(budget))
+    ones = message.value.bit_count()
     ranks = src.randbelow_many(counts[bit] for bit in message)
-    tables = (_Table(lambda rank: _line(*_unrank_theorem(rank))),
-              _Table(lambda rank: _line(*_unrank_nontheorem(rank, budget))))
-    return "".join(map(getitem, map(tables.__getitem__, message), ranks))
+    # A class no larger than its bit's count is rendered whole; a larger one
+    # unranks each distinct rank at its first lookup.
+    tables = (_theorem_lines(budget) if counts[0] <= len(message) - ones
+              else _Table(lambda rank: _line(*_unrank_theorem(rank))),
+              _nontheorem_lines(budget) if counts[1] <= ones
+              else _Table(lambda rank: _line(*_unrank_nontheorem(rank, budget))))
+    return "".join([tables[bit][rank] for bit, rank in zip(message, ranks)])
 
 
 def decode_string(text: str) -> int:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections import Counter
 from functools import cache
 from typing import Iterable, Iterator, Tuple
 
@@ -167,22 +168,32 @@ class RandomSource:
         bounds = list(bounds)
         if min(bounds, default=1) < 1:
             raise ValueError("randbelow needs n >= 1")
-        # One attempt's words per bound not yet done; a round never draws more.
-        owed = sum(((n - 1).bit_length() + 63) // 64 for n in bounds)
-        words, i = [], 0  # drawn words and how many of them are read
-        for n in bounds:
+        # Each distinct bound's attempt width, worked out once: the words one
+        # attempt takes and the spare low bits it shifts out of them.  `owed`
+        # is one attempt's words per bound not yet done; a round never draws
+        # more.
+        widths, owed = {}, 0
+        for n, times in Counter(bounds).items():
             nbits = (n - 1).bit_length()
-            need = (nbits + 63) // 64  # words per attempt
-            v = n if need else 0
-            while v >= n:
-                while need > len(words) - i:  # top up, keep the unread words
+            need = (nbits + 63) // 64
+            widths[n] = need, 64 * need - nbits
+            owed += need * times
+        # A bound of 1 takes no word: its attempt is 0, always accepted.
+        words, i, have = [], 0, 0  # drawn words, the next unread one, their count
+        for n in bounds:
+            need, spare = widths[n]
+            while True:
+                if i + need > have:  # top up, keep the unread words
                     words, i = words[i:], 0
-                    r = min(_CHUNK, owed - len(words))
-                    raw = self.bits(64 * r).value.to_bytes(8 * r, "big")
-                    words += struct.unpack(f">{r}Q", raw)
-                v = words[i] if need == 1 else int.from_bytes(
-                    struct.pack(f">{need}Q", *words[i:i + need]), "big")
-                v >>= 64 * need - nbits
+                    while need > len(words):
+                        r = min(_CHUNK, owed - len(words))
+                        raw = self.bits(64 * r).value.to_bytes(8 * r, "big")
+                        words += struct.unpack(f">{r}Q", raw)
+                    have = len(words)
+                v = (words[i] if need == 1 else int.from_bytes(
+                    struct.pack(f">{need}Q", *words[i:i + need]), "big")) >> spare
                 i += need
+                if v < n:
+                    break
             owed -= need
             yield v

@@ -210,21 +210,99 @@ def test_a_single_member_class_draws_no_word(bound):
     assert src._state == 5
 
 
-def test_encode_lines_unranks_each_distinct_rank_once(monkeypatch):
-    # Called through the module globals, so these wrappers see every unranking.
-    calls = {"theorem": [], "nontheorem": []}
+@pytest.fixture
+def unranked(monkeypatch):
+    # The ranks each class unranks, theorems first, seen through the module
+    # globals that encode_lines calls.
+    calls = ([], [])
     unrank_t, unrank_n = facts._unrank_theorem, facts._unrank_nontheorem
     monkeypatch.setattr(facts, "_unrank_theorem",
-                        lambda r: calls["theorem"].append(r) or unrank_t(r))
+                        lambda r: calls[0].append(r) or unrank_t(r))
     monkeypatch.setattr(facts, "_unrank_nontheorem",
-                        lambda r, b: calls["nontheorem"].append(r) or unrank_n(r, b))
-    message = RandomSource(12).bits(5000)
-    lines = encode_lines(message, RandomSource(13), 24).splitlines()
-    for kind, bit in (("theorem", 0), ("nontheorem", 1)):
-        distinct = {line for line, b in zip(lines, message) if b == bit}
-        assert len(calls[kind]) == len(set(calls[kind])) == len(distinct)
-    assert len(calls["theorem"]) <= _count_theorems(22)
-    assert len(calls["nontheorem"]) <= _count_nontheorems(22)
+                        lambda r, b: calls[1].append(r) or unrank_n(r, b))
+    return calls
+
+
+def test_encode_lines_unranks_each_distinct_rank_once(unranked):
+    sizes = (_count_theorems(22), _count_nontheorems(22))
+    # At bound 24 both classes are larger than their bit's count in 100
+    # bits, so each keeps its lazy table; in 5,000 bits neither is, so both
+    # are rendered whole and nothing is unranked.
+    for length, lazy in ((100, True), (5000, False)):
+        for drawn in unranked:
+            drawn.clear()
+        message = RandomSource(12).bits(length)
+        lines = encode_lines(message, RandomSource(13), 24).splitlines()
+        for bit in (0, 1):
+            carried = [line for line, b in zip(lines, message) if b == bit]
+            assert (sizes[bit] > len(carried)) == lazy
+            distinct = len(set(carried)) if lazy else 0
+            assert len(unranked[bit]) == len(set(unranked[bit])) == distinct
+
+
+def _enumerated_classes(size_bound):
+    # Independent of the unranking: every string within the bound, in
+    # enumeration order, rendered and split by class.
+    classes = ([], [])
+    for ps in enumerate_wellformed(size_bound):
+        classes[not is_theorem(ps)].append(ps.render() + "\n")
+    return classes
+
+
+def _indexed_replay(message, seed, classes):
+    # One scalar randbelow replay per bit, indexing its class's list.
+    state, lines = seed, []
+    for bit in message:
+        rank, state = scalar_randbelow(state, len(classes[bit]))
+        lines.append(classes[bit][rank])
+    return "".join(lines), state
+
+
+def _shuffled_message(rng, zeros, ones):
+    bits = [0] * zeros + [1] * ones
+    rng.shuffle(bits)
+    return BitString(bits)
+
+
+@pytest.mark.parametrize("size_bound", range(6, 41))
+def test_encode_lines_matches_the_enumerated_classes(size_bound, unranked):
+    # Each bit's count at its class's size and one either side: one below,
+    # the class keeps its lazy table; at or above, it is rendered whole and
+    # unranks nothing.  The other bit is rare.
+    classes = _enumerated_classes(size_bound)
+    rng = random.Random(size_bound)
+    for bit in (0, 1):
+        for count in range(len(classes[bit]) - 1, len(classes[bit]) + 2):
+            for drawn in unranked:
+                drawn.clear()
+            message = _shuffled_message(rng, *((count, 5) if bit == 0 else (5, count)))
+            seed = rng.getrandbits(64)
+            src = RandomSource(seed)
+            out = encode_lines(message, src, size_bound)
+            assert (out, src._state) == _indexed_replay(message, seed, classes)
+            carried = {line for line, b in zip(out.splitlines(), message) if b == bit}
+            lazy = count < len(classes[bit])
+            assert len(unranked[bit]) == (len(carried) if lazy else 0)
+
+
+def test_encode_lines_with_one_rare_value():
+    # 10 theorems, from a lazy table, among 3,000 whole-class non-theorems,
+    # and the reverse.
+    classes = _enumerated_classes(24)
+    rng = random.Random(24)
+    for zeros, ones in ((10, 3000), (3000, 10)):
+        message = _shuffled_message(rng, zeros, ones)
+        src = RandomSource(77)
+        out = encode_lines(message, src, 24)
+        assert (out, src._state) == _indexed_replay(message, 77, classes)
+    # At the cap (521,731 theorems and about 1.4e9 non-theorems) no message
+    # here reaches a class's size and the classes are too large to
+    # enumerate, so both keep their lazy tables and the reference is the
+    # closed-form replay, whose order the tests above pin at the cap.
+    message = _shuffled_message(rng, 10, 300)
+    src = RandomSource(78)
+    out = encode_lines(message, src, MAX_SIZE_BOUND)
+    assert (out, src._state) == _per_bit_replay(message, 78, MAX_SIZE_BOUND)
 
 
 # Well-formed strings of both classes and malformed ones, few enough that a
