@@ -7,7 +7,7 @@ bit channel, and the exact-enumeration / statistical machinery that
 verifies all of it.
 """
 
-from .bitstring import BitString, bits_from_text, text_from_bits, xor
+from .bitstring import BitString, bits_from_text, xor
 from .rng import RandomSource, derive_child_seed
 from .padfile import (
     PadFormatError,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitString",
     "bits_from_text",
-    "text_from_bits",
     "xor",
     "RandomSource",
     "derive_child_seed",

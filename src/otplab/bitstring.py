@@ -101,14 +101,6 @@ class BitString:
     def __iter__(self) -> Iterator[int]:
         return iter(self.to01().encode("ascii").translate(_DIGIT_VALUES))
 
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString.from_int(
-            (self._value << other._length) | other._value,
-            self._length + other._length,
-        )
-
     def __xor__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
@@ -163,10 +155,3 @@ def bits_from_text(text: str) -> BitString:
         raise ValueError("text encoding supports 8-bit characters only") from exc
     return BitString.from_int(int.from_bytes(data, "big"), 8 * len(data))
 
-
-def text_from_bits(bits: BitString) -> str:
-    """Inverse of :func:`bits_from_text`; requires a whole number of bytes."""
-    if bits.length % 8:
-        raise ValueError("bit length must be a multiple of 8 to decode as text")
-    nbytes = bits.length // 8
-    return bits.value.to_bytes(nbytes, "big").decode("latin-1")

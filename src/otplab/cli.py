@@ -2,8 +2,8 @@
 
 There is no network transport here: the "secure channel" is a pad file
 handed over out-of-band, the "public channel" is standard output.  Exit
-codes: 0 success, 2 usage / precondition error or out of memory, 3 data or
-corruption error.
+codes: 0 success, 2 usage / precondition error, out of memory or a number
+too large, 3 data or corruption error.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def _cmd_analyze(args) -> int:
         return EXIT_OK
 
     if args.check == "distinguish":
-        m0 = BitString(args.m0) if args.m0 else BitString.zeros(args.n)
-        m1 = BitString(args.m1) if args.m1 else BitString.ones(args.n)
+        m0 = BitString(args.m0) if args.m0 is not None else BitString.zeros(args.n)
+        m1 = BitString(args.m1) if args.m1 is not None else BitString.ones(args.n)
         cfg = analysis.TrialConfig(params=params, trials=args.trials,
                                    seed=args.seed, m0=m0, m1=m1)
         report = analysis.distinguisher_test(cfg)
@@ -279,6 +279,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: number too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

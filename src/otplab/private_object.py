@@ -11,22 +11,14 @@ The encoder and the verifier read the object once per message, through
 :meth:`PrivateObject.features`, not once per bit: for a pad that is one
 slice, so encoding a message costs one XOR plus rendering the lines.
 
-Each direction has two forms.  :func:`encode_statements` and
-:func:`verify_statements` work on :class:`Statement` values and are the
-reference.  :func:`encode_lines` and :func:`decode_lines` work on the wire
-form, one ``<index> <claimed_value> <rendering>`` line per bit, and build no
-per-line object; the command line uses them.  :func:`encode_lines` hands
-the whole message's claimed values to the object's one rendering hook,
-:meth:`PrivateObject.render_lines`, which by default calls
-:meth:`PrivateObject.describe` once per line; :class:`PadObject` renders
-all its lines in one comprehension with no Python call per line, from the
-same wording its ``describe`` returns.  Both forms share the XOR and
-the line grammar: one regular expression accepts a line for
-:func:`decode_lines` and for :func:`statement_from_line` alike.
-:func:`decode_lines` matches, bounds-checks and compares each line inline in
-one loop, with no Python call per line; only a faulty line goes to the code
-that names its fault, so the first faulty line's error is the same on both
-paths.
+A statement travels as one line, ``<index> <claimed_value> <rendering>``:
+an index of 1 or more, a claim of 0 or 1 and a display-only rendering.
+There is one reader and one writer of that line.  :func:`decode_lines`
+reads it, with no Python call per line, and :func:`verify_statements`
+reads each :class:`Statement` through it.  :func:`statement_to_line` writes
+it, refusing a rendering with a line break, and the default
+:meth:`PrivateObject.render_lines` writes through it;
+:class:`PadObject` renders its fixed wording in one comprehension.
 
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
@@ -71,20 +63,20 @@ class PrivateObject(abc.ABC):
 
     def describe(self, index: int, claimed_value: int) -> str:
         """Human rendering of the claim 'feature <index> equals <value>'
-        (1 <= index <= entropy_bits); never empty, as :func:`encode_lines`
-        writes it as a line's third field."""
+        (1 <= index <= entropy_bits); one line, which
+        :func:`statement_to_line` writes as a line's third field."""
         self._check_index(index)
         return f"feature {index} of the object is {claimed_value}"
 
     def render_lines(self, claims: BitString) -> str:
         """The wire lines of a whole message whose claimed values about
-        features ``1..len(claims)`` are ``claims``: one
-        ``<index> <claimed_value> <describe(index, claimed_value)>`` line
-        per claim, each ending in a newline.  Subclasses may render all
-        lines at once, as long as the text is the same."""
+        features ``1..len(claims)`` are ``claims``: the
+        :func:`statement_to_line` line of each claim and its ``describe``,
+        each ending in a newline.  Subclasses may render all lines at once,
+        as long as the text is the same."""
         describe = self.describe
         return "".join([
-            f"{j} {claimed} {describe(j, claimed)}\n"
+            statement_to_line(Statement(j, claimed, describe(j, claimed))) + "\n"
             for j, claimed in enumerate(claims, start=1)
         ])
 
@@ -195,22 +187,11 @@ def verify_statements(
 ) -> BitString:
     """Check each statement against the object: true -> 0, false -> 1.
 
-    A statement naming a feature the object lacks cannot have come from
-    :func:`encode_statements`, so it raises :class:`StatementParseError`.
+    Each statement is read as the line ``<index> <claimed_value>`` by
+    :func:`decode_lines`, so it is refused as that line would be.
     """
-    width = obj.entropy_bits
-    values = obj.features(width).to01()
-    bits = []
-    for stmt in statements:
-        index = stmt.feature_index
-        if not 1 <= index <= width:
-            raise StatementParseError(
-                f"feature index {index} outside 1..{width}"
-            )
-        bits.append(
-            "0" if (values[index - 1] == "1") == stmt.claimed_value else "1"
-        )
-    return BitString("".join(bits))
+    return decode_lines(
+        [f"{s.feature_index} {s.claimed_value}" for s in statements], obj)
 
 
 # The one test of a statement line: an unsigned ASCII decimal index without
@@ -223,10 +204,8 @@ _LINE = re.compile(r"\s*([1-9][0-9]*)\s+([01])(?!\S)")
 
 def decode_lines(lines: Iterable[str], obj: PrivateObject) -> BitString:
     """Parse, check and read back statement lines in one loop, with no
-    :class:`Statement` and no Python call per line; the same bits and errors
-    as :func:`verify_statements` over :func:`statement_from_line`, except
-    that the first faulty line is reported, whichever of the two checks it
-    fails.
+    :class:`Statement` and no Python call per line: true -> 0, false -> 1.
+    The first faulty line raises :class:`StatementParseError`.
     """
     width = obj.entropy_bits
     values = " " + obj.features(width).to01()  # values[i] is feature i
@@ -271,10 +250,14 @@ def _line_error(line: str) -> StatementParseError:
 
 def statement_to_line(stmt: Statement) -> str:
     """Wire form: ``<index> <claimed_value> <rendering>``, the rendering
-    left out when it is empty."""
-    if stmt.rendering:
-        return f"{stmt.feature_index} {stmt.claimed_value} {stmt.rendering}"
-    return f"{stmt.feature_index} {stmt.claimed_value}"
+    left out when it is empty.  A rendering that str.splitlines() would
+    split is refused: it would write more than one line."""
+    rendering = stmt.rendering
+    if not rendering:
+        return f"{stmt.feature_index} {stmt.claimed_value}"
+    if rendering.splitlines() != [rendering]:
+        raise ValueError(f"statement rendering {rendering!r} contains a line break")
+    return f"{stmt.feature_index} {stmt.claimed_value} {rendering}"
 
 
 def statement_from_line(line: str) -> Statement:

@@ -49,10 +49,14 @@ class ReductionParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("reduction bound k must be >= 1")
-        if self.n < self.k + (1 << (self.k - 1)):
+        # A valid k has 2**(k-1) < n, so k <= n.bit_length(): a larger k is
+        # refused before 2**(k-1), which may not fit in memory, is computed.
+        least = (self.k + (1 << (self.k - 1))
+                 if self.k <= self.n.bit_length() else None)
+        if least is None or self.n < least:
             raise ValueError(
                 f"message length {self.n} too short for k={self.k}; "
-                f"need n >= k + 2**(k-1) = {self.k + (1 << (self.k - 1))}"
+                f"need n >= k + 2**(k-1)" + (f" = {least}" if least else "")
             )
 
 

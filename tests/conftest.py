@@ -63,7 +63,8 @@ def reserved_tail_mutant(params, src):
     forced tail collides with the first reserved pattern."""
     pad = generate_reduced_pad(params, src)
     if pad.length == params.n:
-        return pad[: params.n - params.k] + reserved_pattern(params, 1)
+        return BitString(pad[: params.n - params.k].to01()
+                         + reserved_pattern(params, 1).to01())
     return pad
 
 

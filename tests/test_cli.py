@@ -499,6 +499,33 @@ def test_bad_k_is_exit_2(capsys):
     assert "k=4" in err or "too short" in err
 
 
+HUGE = str(2**70)
+OVERSIZED = {
+    "reduce-keygen --k 2**70": ["reduce-keygen", "--message-bits", "10", "--k",
+                                HUGE, "--seed", "1", "--out", "{tmp}/r.otpd"],
+    "reduce-keygen --k 100000": ["reduce-keygen", "--message-bits", "10", "--k",
+                                 "100000", "--seed", "1", "--out", "{tmp}/r.otpd"],
+    "analyze reduction --k 2**70": ["analyze", "reduction", "--n", "10", "--k", HUGE],
+    "encrypt --reduced --k 2**70": ["encrypt", "--pad", "{pad}", "--in", "1010101010",
+                                    "--reduced", "--message-bits", "10", "--k", HUGE],
+    "analyze distinguish --n 2**70": ["analyze", "distinguish", "--n", HUGE],
+    "analyze distinguish --m0 '' --m1 ''": ["analyze", "distinguish", "--n", "4",
+                                            "--trials", "1000", "--m0", "", "--m1", ""],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_oversized_argument_is_exit_2(capsys, tmp_path, pad_file, command):
+    # One error line, not a traceback or the int-to-text digit limit, and
+    # k's message never writes out 2**(k-1).
+    argv = [a.format(tmp=tmp_path, pad=pad_file) for a in OVERSIZED[command]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "limit" not in err and len(err) < 200, err
+    assert not (tmp_path / "r.otpd").exists()
+
+
 @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
 def test_reduced_pad_of_impossible_length_is_exit_3(capsys, tmp_path, command):
     short = tmp_path / "short.otpd"

@@ -199,10 +199,25 @@ def test_features_bounds(obj):
 
 
 def test_verify_rejects_statement_past_pad_end():
+    # A statement is read as its line, so an index below 1 gets the
+    # grammar's message and one past the end names the range.
     obj = PadObject(PAD)
-    for index in (0, 11):
-        with pytest.raises(StatementParseError, match=f"feature index {index}"):
+    for index, fault in ((0, _INDEX), (11, "feature index 11 outside 1..10")):
+        with pytest.raises(StatementParseError, match=f"^{fault}"):
             verify_statements([Statement(1, 1), Statement(index, 0)], obj)
+
+
+@pytest.mark.parametrize("claim", [2, "x", -1, True])
+def test_verify_rejects_a_claim_other_than_0_or_1(claim):
+    with pytest.raises(StatementParseError,
+                       match=f"^{_CLAIM}: '1 {re.escape(str(claim))}'$"):
+        verify_statements([Statement(2, 0), Statement(1, claim)], PadObject(PAD))
+
+
+def test_verify_reads_a_claim_as_its_line_does():
+    # "1" is the wire form of the claim 1, which is true of PAD's bit 1.
+    obj = PadObject(PAD)
+    assert verify_statements([Statement(1, "1"), Statement(2, "1")], obj) == BitString("01")
 
 
 def test_verify_keeps_statement_order():
@@ -225,17 +240,18 @@ def test_wire_form_survives_random_messages():
 
 @given(objects_and_messages(), st.data())
 def test_wire_path_matches_statement_path(case, data):
+    # Both paths against independent references: the drawn message, the
+    # lines one describe call each renders, and the per-line decoder.
     obj, m = case
     stmts = encode_statements(m, obj)
     wire = encode_lines(m, obj)
-    assert wire == "".join(statement_to_line(s) + "\n" for s in stmts)
+    assert wire == _reference_lines(m, obj)
     lines = wire.splitlines()
-    assert decode_lines(lines, obj) == verify_statements(
-        [statement_from_line(line) for line in lines], obj) == m
+    assert [statement_from_line(line) for line in lines] == stmts
+    assert decode_lines(lines, obj) == verify_statements(stmts, obj) == m
     # Any order and any repeats, as a receiver may be sent them.
     picked = data.draw(st.lists(st.sampled_from(lines))) if lines else []
-    assert decode_lines(picked, obj) == verify_statements(
-        [statement_from_line(line) for line in picked], obj)
+    assert decode_lines(picked, obj) == _decode_per_line(picked, obj)
 
 
 def test_decode_lines_rejects_statement_past_object_end():
@@ -342,11 +358,11 @@ def test_describe_examples_at_the_two_ends():
 
 
 def _reference_lines(message, obj):
-    # One describe call per line: the rendering every object must match.
-    claims = encode_statements(message, obj)
-    return "".join(f"{s.feature_index} {s.claimed_value} "
-                   f"{obj.describe(s.feature_index, s.claimed_value)}\n"
-                   for s in claims)
+    # One describe call per line, each claim the message bit XOR the
+    # feature: the rendering every object must match.
+    claims = [b ^ obj.feature(j) for j, b in enumerate(message, start=1)]
+    return "".join(f"{j} {c} {obj.describe(j, c)}\n"
+                   for j, c in enumerate(claims, start=1))
 
 
 @st.composite
@@ -380,6 +396,24 @@ class _Coin(PrivateObject):
 
     def describe(self, index, claimed_value):
         return f"coin {index} shows {'heads' if claimed_value else 'tails'}"
+
+
+class _Broken(_Coin):
+    # A describe whose rendering would write a second statement line.
+    def __init__(self, rendering):
+        self.rendering = rendering
+
+    def describe(self, index, claimed_value):
+        return self.rendering
+
+
+@pytest.mark.parametrize("rendering", ["a\n2 0", "a\r\n", "x\u2028y", "a\x85b"])
+def test_a_line_break_in_a_rendering_writes_nothing(rendering):
+    with pytest.raises(ValueError, match="line break"):
+        statement_to_line(Statement(1, 0, rendering))
+    with pytest.raises(ValueError, match="line break"):
+        encode_lines(BitString("1"), _Broken(rendering))
+    assert encode_lines(BitString("1"), _Broken("a 2 0")) == "1 0 a 2 0\n"
 
 
 @pytest.mark.parametrize("obj", [demo_object(), _Coin()])

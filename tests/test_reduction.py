@@ -102,6 +102,22 @@ def test_allowed_tails_complement_reserved():
                 v for v in range(1 << k) if v not in reserved), (n, k)
 
 
+def test_tail_map_on_every_residue_class():
+    # For k <= 10 the map depends on n only through n mod 2**k: in every
+    # residue class, at its least valid n and one far above, the coin ->
+    # tail map is a bijection on 0 .. 2**k - 1.
+    for k in range(1, 11):
+        size = 1 << k
+        least = k + (1 << (k - 1))
+        for residue in range(size):
+            n = least + (residue - least) % size
+            ReductionParams(n, k)
+            tails = [_completed_tail(n, k, t) for t in range(size)]
+            assert sorted(tails) == list(range(size)), (n, k)
+            far = n + 7919 * size
+            assert [_completed_tail(far, k, t) for t in range(size)] == tails, (n, k)
+
+
 def _complement_at(reserved, j):
     # The j-th (from 0) value not in ``reserved``, by counting: the least v
     # with v - |{r in reserved: r <= v}| == j and v not reserved.
@@ -202,7 +218,7 @@ def _spelled_out_completion(pad, params):
                              f"k={k} (expected {n - k}..{n})")
     if len(pad) == n:
         return pad.value
-    return (pad[:n - k] + reserved_pattern(params, n - len(pad))).value
+    return int(pad[:n - k].to01() + reserved_pattern(params, n - len(pad)).to01(), 2)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
