@@ -21,21 +21,20 @@ Shared trial contract (one independent child stream per trial index):
 * distinguisher:   4 words -> two pads (coin + bits each)
 
 The distinguisher and reduction kernels step ``_CHUNK`` trials at once in
-the packed lanes explained in :mod:`otplab.rng`, lane ``i`` starting at the
-child seed of trial ``t0 + i``, and count a small key from each lane's low
-word with a ``Counter``: a reduction coin maps to its length index, and the
-distinguisher's ``(head << k) | coin`` goes through one ``tail_of`` table of
-that bijection, as the coin alone picks the completed tail.
+the lanes of :func:`otplab.rng._lane_chunks` and count a small key from each
+lane's low word with a ``Counter``: a reduction coin maps to its length
+index, and the distinguisher's ``(head << k) | coin`` goes through one
+``tail_of`` table of that bijection, as the coin alone picks the tail.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .reduction import ReductionParams, _completed_tail
-from .rng import (MASK64, _CHUNK, _GAMMA, _lane_constants, _low_words,
-                  _splitmix64_lanes, derive_child_seed, splitmix64_next)
+from .rng import (_CHUNK, _GAMMA, _lane_chunks, _low_words, _splitmix64_lanes,
+                  derive_child_seed, splitmix64_next)
 
 IMPL_NAME = "pure"
 
@@ -51,22 +50,6 @@ def _params(n: int, k: int) -> None:
         raise ValueError(
             f"kernels cut each pad from one 64-bit word; need n <= 63, got n={n}"
         )
-
-
-def _lane_chunks(seed: int, trials: int, *values: int) -> Iterator[tuple]:
-    """Yields ``(lanes, state, gamma, mask, *replicated)`` per chunk of
-    trials: lane ``i`` of ``state`` holds ``derive_child_seed(seed, t0 + i)``
-    and each of ``values`` comes back with a copy in every lane."""
-    seed &= MASK64
-    lanes = 0
-    for t0 in range(0, trials, _CHUNK):
-        if lanes != min(_CHUNK, trials - t0):
-            lanes = min(_CHUNK, trials - t0)
-            ones, ramp, mask, gamma = _lane_constants(lanes)
-            seeds = seed * ones
-            replicated = [v * ones for v in values]
-        state = (ramp + ((_GAMMA * (t0 + 1)) & MASK64) * ones) & mask
-        yield (lanes, state ^ seeds, gamma, mask, *replicated)
 
 
 def census_counts(n: int) -> List[int]:
@@ -85,7 +68,7 @@ def reduction_length_counts(n: int, k: int, seed: int, trials: int) -> List[int]
             f"got k={k}"
         )
     counts = [0] * (k + 1)
-    for lanes, state, gamma, mask in _lane_chunks(seed, trials):
+    for _, lanes, state, gamma, mask in _lane_chunks(trials, _GAMMA, seed):
         w, _ = _splitmix64_lanes(state, gamma, mask)
         # Masking first drops the next lane's bits, so the shift leaves only
         # the k-bit coin in each lane's low word.
@@ -122,8 +105,8 @@ def distinguisher_counts(
     kmask = (1 << k) - 1
     keys0: Counter = Counter()
     keys1: Counter = Counter()
-    chunks = _lane_chunks(seed, trials, (1 << n) - 1 - kmask, kmask)
-    for lanes, state, gamma, mask, head_mask, coin_mask in chunks:
+    chunks = _lane_chunks(trials, _GAMMA, seed, (1 << n) - 1 - kmask, kmask)
+    for _, lanes, state, gamma, mask, head_mask, coin_mask in chunks:
         for keys in (keys0, keys1):
             coin, state = _splitmix64_lanes(state, gamma, mask)
             bits, state = _splitmix64_lanes(state, gamma, mask)

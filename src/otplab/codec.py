@@ -61,5 +61,5 @@ def codec_census(n: int) -> Dict[int, int]:
     the closed form :func:`otplab._kernels.census_counts`.
     """
     if not 1 <= n <= 20:
-        raise ValueError("census is exhaustive; n must be in 1..20")
+        raise ValueError("census n must be in 1..20")
     return dict(enumerate(census_counts(n)))

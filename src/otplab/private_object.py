@@ -187,11 +187,14 @@ def verify_statements(
 ) -> BitString:
     """Check each statement against the object: true -> 0, false -> 1.
 
-    Each statement is read as the line ``<index> <claimed_value>`` by
-    :func:`decode_lines`, so it is refused as that line would be.
+    A statement whose fields are one token each is read as its line
+    ``<index> <claimed_value>`` by :func:`decode_lines`; any other is refused.
     """
-    return decode_lines(
-        [f"{s.feature_index} {s.claimed_value}" for s in statements], obj)
+    lines = [f"{s.feature_index} {s.claimed_value}" for s in statements]
+    for line in lines:
+        if len(line.split()) != 2:
+            raise StatementParseError(f"statement field is not one token: {line!r}")
+    return decode_lines(lines, obj)
 
 
 # The one test of a statement line: an unsigned ASCII decimal index without

@@ -28,11 +28,12 @@ forbidden.  Parallel work derives independent child seeds instead, see
 :func:`derive_child_seed`.
 
 Packed lanes.  SplitMix64 is counter-based: from state ``s``, word ``j``
-mixes ``s + (j + 1)*GAMMA``.  ``bits(n)`` for ``n > 64`` and the packed
-kernels therefore step up to ``_CHUNK = 2048`` states at once in one 32 KiB
-``int`` (larger chunks were no faster): state ``i`` owns the low half of the
-128-bit lane ``i``, and :func:`_splitmix64_lanes` is a handful of adds,
-shifts, XORs and ANDs over all lanes.  Two pitfalls:
+mixes ``s + (j + 1)*GAMMA``, and child seeds step by ``GAMMA`` too.
+:func:`_lane_chunks` lays out up to ``_CHUNK = 2048`` such states in one
+32 KiB ``int`` (larger chunks were no faster), for ``bits(n)`` with ``n > 64``
+and the packed kernels alike: state ``i`` owns the low half of the 128-bit
+lane ``i``, and :func:`_splitmix64_lanes` is a handful of adds, shifts, XORs
+and ANDs over all lanes.  Two pitfalls:
 
 * A right shift pulls the low bits of lane ``i + 1`` into the high half of
   lane ``i``, and a product fills it, so every multiply is preceded and
@@ -92,13 +93,22 @@ def _chunk_constants() -> Tuple[int, int, int, int]:
     return ones, _GAMMA * ramp, MASK64 * ones, _GAMMA * ones
 
 
-def _lane_constants(lanes: int) -> Tuple[int, int, int, int]:
-    """``(ones, ramp, mask, gamma)``: 1, ``i*GAMMA``, ``MASK64``, ``GAMMA``."""
+def _lane_chunks(count: int, base: int, seed: int = 0, *values: int) -> Iterator[tuple]:
+    """Yields ``(i0, lanes, state, gamma, mask, *replicated)`` for each chunk
+    of at most ``_CHUNK`` of ``count`` lanes: lane ``i`` of ``state`` holds
+    ``(base + (i0 + i)*GAMMA) XOR seed`` in 64 bits, and each of ``values``
+    comes back with a copy in every lane."""
     ones, ramp, mask, gamma = _chunk_constants()
-    if lanes == _CHUNK:
-        return ones, ramp, mask, gamma
-    low = (1 << 128 * lanes) - 1
-    return ones & low, ramp & low, mask & low, gamma & low
+    seeds = (seed & MASK64) * ones
+    replicated = [v * ones for v in values]
+    for i0 in range(0, count, _CHUNK):
+        lanes = min(_CHUNK, count - i0)
+        if lanes < _CHUNK:  # only the last chunk is short: drop its top lanes
+            low = (1 << 128 * lanes) - 1
+            ones, ramp, mask, gamma, seeds, *replicated = (
+                c & low for c in (ones, ramp, mask, gamma, seeds, *replicated))
+        state = (ramp + ((base + _GAMMA * i0) & MASK64) * ones) & mask
+        yield (i0, lanes, state ^ seeds, gamma, mask, *replicated)
 
 
 def _low_words(packed: int, lanes: int) -> memoryview:
@@ -143,17 +153,13 @@ class RandomSource:
             out = memoryview(bytearray(8 * nwords)).cast("Q")
         except MemoryError:
             raise ValueError(f"{n} random bits do not fit in memory") from None
-        state = self._state
-        for w0 in range(0, nwords, _CHUNK):
-            lanes = min(_CHUNK, nwords - w0)
-            ones, ramp, mask, gamma = _lane_constants(lanes)
-            base = (state + _GAMMA * w0) & MASK64  # lane i: base + i*GAMMA
-            words, _ = _splitmix64_lanes((ramp + base * ones) & mask, gamma, mask)
+        for w0, lanes, state, gamma, mask in _lane_chunks(nwords, self._state):
+            words, _ = _splitmix64_lanes(state, gamma, mask)
             # Big-endian bytes end with lane 0's low word: every other 8-byte
             # word, read backwards, is the chunk's output in order.
             lows = memoryview(words.to_bytes(_LANE_BYTES * lanes, "big"))
             out[w0:w0 + lanes] = lows.cast("Q")[::-2]
-        self._state = (state + _GAMMA * nwords) & MASK64
+        self._state = (self._state + _GAMMA * nwords) & MASK64
         value = int.from_bytes(out, "big") >> (64 * nwords - n)
         return BitString.from_int(value, n)
 

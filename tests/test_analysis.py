@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from otplab.analysis import (
+    MAX_TRIALS,
     TrialConfig,
     _count_outcomes,
     distinguisher_test,
@@ -180,6 +181,15 @@ def test_trial_config_validation():
     with pytest.raises(ValueError):
         TrialConfig(params=params, trials=10, seed=1,
                     m0=BitString.zeros(7), m1=BitString.ones(8))
+
+
+def test_trial_config_caps_trials():
+    params = ReductionParams(8, 1)
+    assert TrialConfig(params=params, trials=10**9, seed=1).trials == MAX_TRIALS
+    with pytest.raises(ValueError, match=f"^trials must be <= {MAX_TRIALS}$"):
+        TrialConfig(params=params, trials=10**9 + 1, seed=1)
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        TrialConfig(params=params, trials=0, seed=1)
 
 
 # --- eavesdropper guessing -------------------------------------------------

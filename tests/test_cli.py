@@ -4,11 +4,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from otplab.analysis import TrialConfig, distinguisher_test
+from otplab import _kernels
+from otplab.analysis import MAX_TRIALS, TrialConfig, distinguisher_test
 from otplab.bitstring import BitString, bits_from_text
 from otplab.cli import main
 from otplab.facts import MAX_SIZE_BOUND, decode_string
@@ -636,6 +638,26 @@ def test_draw_past_memory_is_exit_2(tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "random bits do not fit in memory" in err
     assert not (tmp_path / "pad.otpd").exists()
+
+
+def _no_trials(*args):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("check, n", [("eve", 10), ("reduction", 10),
+                                      ("distinguish", 8)])
+def test_trials_past_the_cap_are_exit_2(capsys, monkeypatch, check, n):
+    # Refused before any trial: a kernel call fails the test instead of
+    # running 2**70 trials.
+    for name in ("eve_guess_correct", "reduction_length_counts",
+                 "distinguisher_counts"):
+        monkeypatch.setattr(_kernels, name, _no_trials)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", check, "--n", str(n),
+                         "--trials", str(2**70))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be <= {MAX_TRIALS}\n"
 
 
 def test_decompress_past_memory_is_exit_2(tmp_path):

@@ -133,6 +133,19 @@ class TestAgainstLibraryPath:
             assert _kernels.census_counts(n) == counts
 
 
+@pytest.mark.parametrize("seed", [-7, (1 << 70) + 3], ids=["minus7", "2^70+3"])
+def test_kernels_read_a_seed_modulo_2_64(seed):
+    # TrialConfig takes any integer seed; a kernel reads it as the library
+    # path's derive_child_seed does.  The trials cross one chunk border.
+    wrapped, trials = seed % (1 << 64), _kernels._CHUNK + 1
+    assert _kernels.distinguisher_counts(4, 1, 0, 15, seed, trials) \
+        == _kernels.distinguisher_counts(4, 1, 0, 15, wrapped, trials)
+    assert _kernels.reduction_length_counts(12, 4, seed, trials) \
+        == _kernels.reduction_length_counts(12, 4, wrapped, trials)
+    assert _kernels.eve_guess_correct(10, 2, seed, trials) \
+        == _kernels.eve_guess_correct(10, 2, wrapped, trials)
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError):
         _kernels.reduction_length_counts(10, 0, 1, 10)

@@ -220,6 +220,15 @@ def test_verify_reads_a_claim_as_its_line_does():
     assert verify_statements([Statement(1, "1"), Statement(2, "1")], obj) == BitString("01")
 
 
+@pytest.mark.parametrize("stmt", [Statement(1, "1 x"), Statement(1, "1\n0"),
+                                  Statement("1 1", 0)])
+def test_verify_refuses_a_field_of_more_than_one_token(stmt):
+    # Each reads as a valid line "1 1 ..." with a rendering tail, but a
+    # Statement has no rendering to carry.
+    with pytest.raises(StatementParseError, match="^statement field is not one token"):
+        verify_statements([stmt], PadObject(BitString("1010")))
+
+
 def test_verify_keeps_statement_order():
     obj = PadObject(PAD)
     stmts = encode_statements(MSG, obj)
