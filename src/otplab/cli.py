@@ -3,15 +3,25 @@
 There is no network transport here: the "secure channel" is a pad file
 handed over out-of-band, the "public channel" is standard output.  Exit
 codes: 0 success, 2 usage / precondition error, out of memory or a number
-too large, 3 data or corruption error.
+too large, 3 data or corruption error, a closed standard input or output
+among them.
+
+The four statement commands stream: ``po-encode`` and ``facts-encode``
+write each text block their encoder yields as it comes, and ``po-decode``
+and ``facts-decode`` read their input in blocks of :data:`_READ_BLOCK`
+bytes, decoded strictly as UTF-8 and split into lines in C, handing the
+decoder a lazy iterator of the nonblank lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
+from contextlib import nullcontext
 from functools import cache, partial
-from typing import List, Optional
+from itertools import chain
+from typing import Iterator, List, Optional
 
 from . import analysis, codec, facts, private_object, reduction
 from .bitstring import BitString, bits_from_text
@@ -105,20 +115,71 @@ def _cmd_pad_decompress(args) -> int:
 def _cmd_po_encode(args) -> int:
     message = _message_bits(args)
     obj = private_object.PadObject(read_pad(args.pad))
-    sys.stdout.write(private_object.encode_lines(message, obj))
+    sys.stdout.writelines(private_object.encode_lines(message, obj))
     return EXIT_OK
 
 
-def _read_lines(path: Optional[str]) -> List[str]:
+# Bytes per read of a statement or string file: the most of it held at once.
+_READ_BLOCK = 1 << 16
+
+
+class _InputDecodeError(UnicodeDecodeError):
+    """A block's UnicodeDecodeError moved to where its bytes sit in the
+    whole input, so that it reads as decoding the input at once would;
+    ``object`` keeps only the block's bytes, which start at ``offset``."""
+
+    def __init__(self, exc: UnicodeDecodeError, offset: int) -> None:
+        super().__init__(exc.encoding, exc.object, exc.start + offset,
+                         exc.end + offset, exc.reason)
+        self.offset = offset
+
+    def __str__(self) -> str:  # UnicodeDecodeError's wording
+        if self.end == self.start + 1:
+            byte = self.object[self.start - self.offset]
+            where = f"byte 0x{byte:02x} in position {self.start}"
+        else:
+            where = f"bytes in position {self.start}-{self.end - 1}"
+        return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
+
+
+def _read_lines(path: Optional[str]) -> Iterator[str]:
+    """The nonblank lines of the file at ``path``, or of stdin when it is
+    None, read as they are taken."""
+    return chain.from_iterable(_line_blocks(path))
+
+
+def _line_blocks(path: Optional[str]) -> Iterator[Iterator[str]]:
     # Bytes, decoded strictly here: input that is not UTF-8 is a data error
-    # from a file and from stdin alike, whatever the locale.  Lines that are
-    # empty or all whitespace are dropped, filtered in C by str.strip.
-    if path is None:
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return list(filter(str.strip, data.decode("utf-8").splitlines()))
+    # from a file and from stdin alike, whatever the locale.  Each block's
+    # lines are split by str.splitlines and filtered by str.strip, in C; a
+    # line that a block edge cuts is carried as pieces, joined once it ends,
+    # so a long line is not copied once per block.
+    if path is None and sys.stdin is None:
+        raise OSError("standard input is closed")
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    head, read = [], 0  # the pieces of a line that a block edge cut; bytes read
+    with nullcontext(sys.stdin.buffer) if path is None else open(path, "rb") as fh:
+        while True:
+            data = fh.read(_READ_BLOCK)
+            read += len(data)
+            try:
+                text = decode(data, final=not data)
+            except UnicodeDecodeError as exc:  # exc.object ends at `read`
+                raise _InputDecodeError(exc, read - len(exc.object)) from None
+            if not data:
+                yield filter(str.strip, ["".join(head)])
+                return
+            if not text:  # the block ends inside one character
+                continue
+            lines = text.splitlines()
+            head.append(lines[0])
+            # The last line runs into the next block unless a break ends text.
+            ended = not (lines[-1] and text.endswith(lines[-1]))
+            if len(lines) == 1 and not ended:
+                continue
+            lines[0] = "".join(head)
+            head = [] if ended else [lines.pop()]
+            yield filter(str.strip, lines)
 
 
 def _cmd_po_decode(args) -> int:
@@ -130,7 +191,8 @@ def _cmd_po_decode(args) -> int:
 
 def _cmd_facts_encode(args) -> int:
     src = RandomSource(args.seed)
-    sys.stdout.write(facts.encode_lines(_message_bits(args), src, args.size_bound))
+    sys.stdout.writelines(facts.encode_lines(_message_bits(args), src,
+                                             args.size_bound))
     return EXIT_OK
 
 
@@ -269,6 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Only the commands with an --out file have a product other than
+        # stdout.  With fd 1 closed at startup sys.stdout is None, and
+        # print() would drop the output silently.
+        if sys.stdout is None and not hasattr(args, "out"):
+            raise OSError("standard output is closed")
         return args.func(args)
     except (PadFormatError, CorruptPadError, ParseError, StatementParseError,
             UnicodeDecodeError) as exc:

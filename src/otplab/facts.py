@@ -20,19 +20,21 @@ derivations mechanically from the axioms.
 
 The grammar is one regular expression.  :func:`encode_lines` draws all of
 a message's ranks in one :meth:`RandomSource.randbelow_many` and looks each
-up in its bit's class, in the order :func:`enumerate_wellformed` fixes;
-:func:`encode_bit` is its one-bit case.  The size bound is capped at
-:data:`MAX_SIZE_BOUND`, so that every string fits on one text line.  A
-class no larger than the message's count of its bit (55 theorems and 1,485
-non-theorems at bound 24) is rendered whole, every line in rank order, so a
-repeat costs a list index and the list never holds more lines than the
-class adds to the output.  A larger class keeps a lazy table from rank to
-line that unranks each distinct rank once in closed form: a lookup in the
-cumulative counts per hyphen total, then the root of a quadratic for ``x``.
-:func:`decode_lines` keeps a table from line to bit and parses each
-distinct line once.  The encoder and the decoder work on the group sizes
-and build no :class:`PqString`; :func:`parse_pq` and ``PqString.render``
-share their matcher and renderer.
+up in its bit's class, in the order :func:`enumerate_wellformed` fixes; it
+yields the lines in text blocks of :data:`_BLOCK_LINES`, drawing the ranks
+as the blocks are taken, and :func:`encode_bit` is its one-bit case.  The
+size bound is capped at :data:`MAX_SIZE_BOUND`, so that every string fits
+on one text line.  A class no larger than the message's count of its bit
+(55 theorems and 1,485 non-theorems at bound 24) is rendered whole, every
+line in rank order, so a repeat costs a list index and the list never
+holds more lines than the class adds to the output.  A larger class keeps
+a lazy table from rank to line that unranks each distinct rank once in
+closed form: a lookup in the cumulative counts per hyphen total, then the
+root of a quadratic for ``x``.  Both kinds of table live for the whole
+message, not for one block.  :func:`decode_lines` keeps a table from line
+to bit and parses each distinct line once.  The encoder and the decoder
+work on the group sizes and build no :class:`PqString`; :func:`parse_pq`
+and ``PqString.render`` share their matcher and renderer.
 
 The system is decidable and consistent, which is precisely what makes the
 receiver's verdict computable; it is also utterly insecure, and nothing
@@ -47,9 +49,11 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, List, Tuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from .bitstring import BitString
+from .private_object import _BLOCK_LINES
 from .rng import RandomSource
 
 
@@ -235,17 +239,21 @@ class _Table(dict):
 
 def encode_bit(bit: int, src: RandomSource, size_bound: int) -> str:
     """The string :func:`encode_lines` writes for the one-bit message ``bit``."""
-    return encode_lines(BitString((bit,)), src, size_bound)[:-1]
+    return "".join(encode_lines(BitString((bit,)), src, size_bound))[:-1]
 
 
-def encode_lines(message: BitString, src: RandomSource, size_bound: int) -> str:
+def encode_lines(message: BitString, src: RandomSource,
+                 size_bound: int) -> Iterator[str]:
     """One uniformly random string of surface length <= size_bound per bit
     of ``message``, one per line: 0 -> theorem, 1 -> well-formed non-theorem.
+    The lines come in text blocks of :data:`_BLOCK_LINES` (the last block
+    may be shorter), and the ranks are drawn as the blocks are taken.
 
     Uniformity within each class keeps the obvious length statistics from
     distinguishing the two classes more than the system already allows; no
-    secrecy is claimed either way.  The size bound is checked before any
-    draw: one above :data:`MAX_SIZE_BOUND` raises :class:`ValueError`.
+    secrecy is claimed either way.  The size bound is checked by this call,
+    before any draw: one above :data:`MAX_SIZE_BOUND` raises
+    :class:`ValueError`.
     """
     if size_bound < 6:
         raise ValueError("size bound must be >= 6 (smallest theorem is '-p-q--')")
@@ -263,7 +271,9 @@ def encode_lines(message: BitString, src: RandomSource, size_bound: int) -> str:
               else _Table(lambda rank: _line(*_unrank_theorem(rank))),
               _nontheorem_lines(budget) if counts[1] <= ones
               else _Table(lambda rank: _line(*_unrank_nontheorem(rank, budget))))
-    return "".join([tables[bit][rank] for bit, rank in zip(message, ranks)])
+    lines = zip(message, ranks)
+    return ("".join([tables[bit][rank] for bit, rank in islice(lines, _BLOCK_LINES)])
+            for _ in range(0, len(message), _BLOCK_LINES))
 
 
 def decode_string(text: str) -> int:

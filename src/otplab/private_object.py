@@ -10,15 +10,18 @@ ciphertext, which is what makes the reinterpretation faithful.
 The encoder and the verifier read the object once per message, through
 :meth:`PrivateObject.features`, not once per bit: for a pad that is one
 slice, so encoding a message costs one XOR plus rendering the lines.
+:func:`encode_lines` renders them in text blocks of :data:`_BLOCK_LINES`
+lines, so a writer holds one block at a time; a block is rendered when it
+is taken, so a faulty rendering surfaces after the blocks before it.
 
 A statement travels as one line, ``<index> <claimed_value> <rendering>``:
 an index of 1 or more, a claim of 0 or 1 and a display-only rendering.
 There is one reader and one writer of that line.  :func:`decode_lines`
-reads it, with no Python call per line, and :func:`verify_statements`
-reads each :class:`Statement` through it.  :func:`statement_to_line` writes
-it, refusing a rendering with a line break, and the default
-:meth:`PrivateObject.render_lines` writes through it;
-:class:`PadObject` renders its fixed wording in one comprehension.
+reads it from any iterable of lines, with no Python call per line, and
+:func:`verify_statements` reads each :class:`Statement` through it.
+:func:`statement_to_line` writes it, refusing a rendering with a line
+break, and the default :meth:`PrivateObject.render_lines` writes through
+it; :class:`PadObject` renders its fixed wording in one comprehension.
 
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
@@ -30,7 +33,7 @@ from __future__ import annotations
 import abc
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .bitstring import BitString
 
@@ -68,16 +71,16 @@ class PrivateObject(abc.ABC):
         self._check_index(index)
         return f"feature {index} of the object is {claimed_value}"
 
-    def render_lines(self, claims: BitString) -> str:
-        """The wire lines of a whole message whose claimed values about
-        features ``1..len(claims)`` are ``claims``: the
+    def render_lines(self, claims: str, first: int) -> str:
+        """The wire lines of the claimed values ``claims``, a text of ``0``
+        and ``1`` characters, about features ``first, first + 1, ...``: the
         :func:`statement_to_line` line of each claim and its ``describe``,
         each ending in a newline.  Subclasses may render all lines at once,
         as long as the text is the same."""
         describe = self.describe
         return "".join([
             statement_to_line(Statement(j, claimed, describe(j, claimed))) + "\n"
-            for j, claimed in enumerate(claims, start=1)
+            for j, claimed in enumerate(map(int, claims), start=first)
         ])
 
     def _check_index(self, index: int) -> None:
@@ -125,10 +128,10 @@ class PadObject(PrivateObject):
         self._check_index(index)
         return f"bit {index} of the OTP is {claimed_value}"
 
-    def render_lines(self, claims: BitString) -> str:
+    def render_lines(self, claims: str, first: int) -> str:
         # describe's wording, one comprehension with no Python call per line
         return "".join([f"{j} {c} bit {j} of the OTP is {c}\n"
-                        for j, c in enumerate(claims.to01(), start=1)])
+                        for j, c in enumerate(claims, start=first)])
 
 
 class TableObject(PrivateObject):
@@ -175,11 +178,25 @@ def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]
     ]
 
 
-def encode_lines(message: BitString, obj: PrivateObject) -> str:
+# Lines per text block that encode_lines yields, here and in facts.
+_BLOCK_LINES = 1024
+
+
+def encode_lines(message: BitString, obj: PrivateObject) -> Iterator[str]:
     """The wire form of :func:`encode_statements`: one line per message bit,
-    each ending in a newline, built without a :class:`Statement` per line
-    by the object's :meth:`PrivateObject.render_lines`."""
-    return obj.render_lines(_claims(message, obj))
+    each ending in a newline, yielded in text blocks of
+    :data:`_BLOCK_LINES` lines (the last block may be shorter) and built
+    without a :class:`Statement` per line by the object's
+    :meth:`PrivateObject.render_lines`.  A message longer than the object
+    is refused by this call, before the first block; that is the only check
+    made before it.  Each block is rendered when it is taken, so a rendering
+    fault, such as a line break in a ``describe``, raises when its block is
+    taken, after the blocks before it have been yielded."""
+    # The claims' text is sliced per block: slicing the BitString instead
+    # would shift the whole message once per block.
+    claims = _claims(message, obj).to01()
+    return (obj.render_lines(claims[i:i + _BLOCK_LINES], i + 1)
+            for i in range(0, len(claims), _BLOCK_LINES))
 
 
 def verify_statements(

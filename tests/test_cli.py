@@ -5,11 +5,13 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from otplab import _kernels
+from otplab import _kernels, cli, facts, private_object
 from otplab.analysis import MAX_TRIALS, TrialConfig, distinguisher_test
 from otplab.bitstring import BitString, bits_from_text
 from otplab.cli import main
@@ -738,3 +740,197 @@ def test_po_encode_message_longer_than_pad_is_exit_2(capsys, pad_file):
     assert code == 2
     assert out == ""
     assert "features" in err
+
+
+# -- streamed statement commands -------------------------------------------
+
+def _child_env():
+    # A child interpreter's environment, importing this checkout's source.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("command, fd", [
+    ("po-encode", 1), ("po-decode", 0), ("po-decode", 1), ("facts-encode", 1),
+    ("facts-decode", 0), ("facts-decode", 1), ("encrypt", 1),
+])
+def test_closed_stdin_or_stdout_is_exit_3(pad_file, command, fd):
+    # A process started with fd 0 or 1 closed has sys.stdin or sys.stdout
+    # None: one error line, not a traceback, and not a silently dropped
+    # result.
+    argv = {"po-encode": ["--pad", pad_file, "--in", "0101"],
+            "po-decode": ["--pad", pad_file],
+            "facts-encode": ["--seed", "1", "--in", "01"],
+            "facts-decode": [],
+            "encrypt": ["--pad", pad_file, "--in", "0101"]}[command]
+    proc = subprocess.run([sys.executable, "-m", "otplab.cli", command, *argv],
+                          capture_output=True, env=_child_env(), timeout=60,
+                          preexec_fn=partial(os.close, fd))
+    stream = ("standard input", "standard output")[fd]
+    assert proc.returncode == 3
+    assert proc.stderr.decode() == f"error: {stream} is closed\n"
+
+
+def _lines_or_error(read):
+    # The lines read() returns, or the fields and text of its decode error.
+    try:
+        return read()
+    except UnicodeDecodeError as exc:
+        return (exc.encoding, exc.start, exc.end, exc.reason, str(exc))
+
+
+_PIECES = [b"\r", b"\n", b"\r\n", b" ", b"\t", b"1 0", b"-p-q--", b"a",
+           "\x85".encode(), "\u2028".encode(), "\u3000".encode(),
+           "\U0001F600".encode(), b"\xff", b"\xe2\x82", b"\xc2", b"\x80"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from(_PIECES), max_size=16).map(b"".join)),
+       st.integers(1, 7))
+@example(b"a\r\nb\r\n", 2)  # CRLF split across an edge
+@example(b"a\r\x85b\n", 2)  # CR, then NEL after the edge
+@example(b"a\r\xc2\x85b\n", 3)  # CR, then NEL cut in two
+@example("a\u2028b".encode(), 2)  # LINE SEPARATOR cut across two edges
+@example("x\U0001F600y\n".encode(), 3)  # a 4-byte character cut in two
+@example(b"1 0\n2 1", 3)  # no final newline
+@example(b" \n\t\r\n\n  ", 2)  # only blank lines
+@example(b"1 0\n2 1\nabc\xff\n", 4)  # undecodable byte past the first block
+@example(b"1 0\n\xe2\x82", 5)  # truncated character at the end
+def test_reader_matches_decoding_the_whole_input(data, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_READ_BLOCK", block)
+        mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        streamed = _lines_or_error(lambda: list(cli._read_lines(None)))
+    assert streamed == _lines_or_error(
+        lambda: list(filter(str.strip, data.decode("utf-8").splitlines())))
+
+
+def test_a_malformed_line_before_an_undecodable_byte_is_reported_first(
+        capsys, monkeypatch, pad_file):
+    # The reader decodes block by block, so a faulty line in an earlier
+    # block fails before the bad byte is read; both are exit 3.
+    monkeypatch.setattr(cli, "_READ_BLOCK", 8)
+    data = b"1 1\n0 1\n" + b"\xff 1\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, "po-decode", "--pad", pad_file)
+    assert (code, out) == (3, "")
+    assert "feature index must be a decimal number >= 1: '0 1'" in err
+    monkeypatch.setattr(cli, "_READ_BLOCK", 1 << 16)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, "po-decode", "--pad", pad_file)
+    assert (code, out) == (3, "")
+    assert "can't decode byte 0xff in position 8" in err
+
+
+def test_statement_commands_round_trip_through_pipes(tmp_path):
+    # 200 kbit through real pipes: each encoder writes block by block while
+    # its decoder reads block by block.
+    raw = RandomSource(81).bits(8 * 25_000).value.to_bytes(25_000, "big")
+    text = "".join(chr(32 + b % 95) for b in raw)  # printable ASCII
+    message = bits_from_text(text).to01()
+    pad = tmp_path / "pad.otpd"
+    write_pad(pad, RandomSource(82).bits(len(message)))
+    env = _child_env()
+    for encode, decode in (
+            (["po-encode", "--pad", str(pad), "--text", text],
+             ["po-decode", "--pad", str(pad)]),
+            (["facts-encode", "--seed", "83", "--text", text], ["facts-decode"])):
+        cmd = [sys.executable, "-m", "otplab.cli"]
+        with subprocess.Popen(cmd + encode, stdout=subprocess.PIPE, env=env) as enc:
+            dec = subprocess.run(cmd + decode, stdin=enc.stdout, capture_output=True,
+                                 env=env, timeout=120)
+            enc.stdout.close()
+            assert enc.wait(timeout=120) == 0
+        assert (dec.returncode, dec.stderr) == (0, b"")
+        assert dec.stdout.decode() == message + "\n"
+
+
+# Digests of the four commands' stdout before they streamed, at message
+# sizes 0, 1, B - 1, B, B + 1 and 3B + 5 for B = 1024 lines per block: over
+# po-encode, po-decode of its lines, then facts-encode and facts-decode at
+# bound 24 and at bound 2047, each output followed by a NUL byte.
+STREAMED_PINS = {
+    0: "0856266f220f443e87bf42c1601a52648197b1c3b166f528b54656745954e8f4",
+    1: "9c591fbdaf5c8a492034666b1a807debb153317f5754e72808a17db81c27110a",
+    1023: "0a2ecbe3e468d40ad1375eb204da1d3203fcf9344891556fe9740ea8ef6dff6a",
+    1024: "ee346a2fe728bd92b67915993d47db7b4a50d206edfa68823205ee9b51db035e",
+    1025: "aeeeb9186430be9c9134e483aacc43a20738fb07fc908699af46cdb82c3a6169",
+    3077: "1b35f1fc3561d2f2c43e29e2f5a110612ae55482dcb6ee6702c3149343fa1cac",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAMED_PINS))
+def test_statement_commands_are_pinned_across_blocks(capsys, tmp_path, n):
+    assert private_object._BLOCK_LINES == 1024
+    pad, lines = str(tmp_path / "pad.otpd"), tmp_path / "lines.txt"
+    write_pad(pad, RandomSource(61).bits(3077))
+    message = RandomSource(62).bits(n).to01()
+    outputs = []
+
+    def step(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+        lines.write_text(out)
+
+    step("po-encode", "--pad", pad, "--in", message)
+    step("po-decode", "--pad", pad, "--in", str(lines))
+    for bound in ("24", "2047"):
+        step("facts-encode", "--seed", "63", "--size-bound", bound, "--in", message)
+        step("facts-decode", "--in", str(lines))
+    assert outputs[1::2] == [message + "\n"] * 3
+    digest = hashlib.sha256(b"".join(out.encode() + b"\0" for out in outputs))
+    assert digest.hexdigest() == STREAMED_PINS[n]
+
+
+# Runs cli.main on argv whose "@path" items are read from that file (one
+# argv string is capped at 128 KiB), then reports the peak RSS in KiB.
+_RSS_PROBE = """
+import resource, sys
+from otplab.cli import main
+argv = [open(a[1:]).read() if a.startswith("@") else a for a in sys.argv[1:]]
+code = main(argv)
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def test_statement_commands_run_in_constant_memory(tmp_path):
+    # Each command's peak RSS at 2,000,000 bits stays within 24 MiB of its
+    # peak at 1,000 bits; before they streamed, the four peaked at about
+    # 289, 356, 94 and 253 MiB.
+    n = 2_000_000
+    pad, msg = tmp_path / "pad.otpd", tmp_path / "msg.txt"
+    write_pad(pad, RandomSource(71).bits(n))
+    message = RandomSource(72).bits(n).to01()
+    po, facts_lines = tmp_path / "po.txt", tmp_path / "facts.txt"
+    decoded = tmp_path / "decoded.txt"
+    env = _child_env()
+
+    def peak_mib(argv, out):
+        with open(out, "wb") as fh:
+            proc = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv],
+                                  stdout=fh, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return int(proc.stderr.split()[-1]) / 1024
+
+    peaks = {}
+    for bits in (1_000, n):
+        msg.write_text(message[:bits])
+        peaks[bits] = [
+            peak_mib(["po-encode", "--pad", str(pad), "--in", f"@{msg}"], po),
+            peak_mib(["po-decode", "--pad", str(pad), "--in", str(po)], decoded),
+        ]
+        assert decoded.read_text() == message[:bits] + "\n"
+        peaks[bits] += [
+            peak_mib(["facts-encode", "--seed", "1", "--in", f"@{msg}"], facts_lines),
+            peak_mib(["facts-decode", "--in", str(facts_lines)], decoded),
+        ]
+        assert decoded.read_text() == message[:bits] + "\n"
+        po.unlink()
+        facts_lines.unlink()
+    growth = [big - small for small, big in zip(peaks[1_000], peaks[n])]
+    assert max(growth) < 24, f"peak RSS grew by {growth} MiB"

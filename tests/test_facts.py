@@ -188,7 +188,7 @@ def _per_bit_replay(message, seed, size_bound):
 @example(seed=6, message=RandomSource(1).bits(2 * _CHUNK + 100), size_bound=7)
 def test_encode_lines_matches_per_bit_scalar_replay(seed, message, size_bound):
     src = RandomSource(seed)
-    out = encode_lines(message, src, size_bound)
+    out = "".join(encode_lines(message, src, size_bound))
     assert (out, src._state) == _per_bit_replay(message, seed, size_bound)
     per_bit = RandomSource(seed)  # encode_bit, the one-bit case, bit by bit
     assert out == "".join(encode_bit(b, per_bit, size_bound) + "\n" for b in message)
@@ -198,7 +198,7 @@ def test_encode_lines_matches_per_bit_scalar_replay(seed, message, size_bound):
 def test_encode_lines_checks_the_bound_of_an_empty_message(bound):
     src = RandomSource(3)
     with pytest.raises(ValueError, match="size bound must be"):
-        encode_lines(BitString(""), src, bound)
+        "".join(encode_lines(BitString(""), src, bound))
     assert src._state == 3
 
 
@@ -206,7 +206,7 @@ def test_encode_lines_checks_the_bound_of_an_empty_message(bound):
 def test_a_single_member_class_draws_no_word(bound):
     # The theorem class holds only -p-q-- here, so zeros cost no draw.
     src = RandomSource(5)
-    assert encode_lines(BitString.zeros(5000), src, bound) == "-p-q--\n" * 5000
+    assert "".join(encode_lines(BitString.zeros(5000), src, bound)) == "-p-q--\n" * 5000
     assert src._state == 5
 
 
@@ -232,12 +232,24 @@ def test_encode_lines_unranks_each_distinct_rank_once(unranked):
         for drawn in unranked:
             drawn.clear()
         message = RandomSource(12).bits(length)
-        lines = encode_lines(message, RandomSource(13), 24).splitlines()
+        lines = "".join(encode_lines(message, RandomSource(13), 24)).splitlines()
         for bit in (0, 1):
             carried = [line for line, b in zip(lines, message) if b == bit]
             assert (sizes[bit] > len(carried)) == lazy
             distinct = len(set(carried)) if lazy else 0
             assert len(unranked[bit]) == len(set(unranked[bit])) == distinct
+
+
+def test_encode_lines_keeps_its_rank_tables_across_blocks(unranked):
+    # 2,100 bits at bound 100 span three blocks.  The theorems (1,176 of
+    # them) outnumber the message's zeros, so their table stays lazy, and a
+    # rank that repeats in a later block is not unranked again.
+    message = RandomSource(14).bits(2100)
+    lines = "".join(encode_lines(message, RandomSource(15), 100)).splitlines()
+    zeros = [line for line, bit in zip(lines, message) if bit == 0]
+    assert len(message) > 2 * facts._BLOCK_LINES
+    assert _count_theorems(98) > len(zeros) > len(set(zeros))
+    assert len(unranked[0]) == len(set(unranked[0])) == len(set(zeros))
 
 
 def _enumerated_classes(size_bound):
@@ -278,7 +290,7 @@ def test_encode_lines_matches_the_enumerated_classes(size_bound, unranked):
             message = _shuffled_message(rng, *((count, 5) if bit == 0 else (5, count)))
             seed = rng.getrandbits(64)
             src = RandomSource(seed)
-            out = encode_lines(message, src, size_bound)
+            out = "".join(encode_lines(message, src, size_bound))
             assert (out, src._state) == _indexed_replay(message, seed, classes)
             carried = {line for line, b in zip(out.splitlines(), message) if b == bit}
             lazy = count < len(classes[bit])
@@ -293,7 +305,7 @@ def test_encode_lines_with_one_rare_value():
     for zeros, ones in ((10, 3000), (3000, 10)):
         message = _shuffled_message(rng, zeros, ones)
         src = RandomSource(77)
-        out = encode_lines(message, src, 24)
+        out = "".join(encode_lines(message, src, 24))
         assert (out, src._state) == _indexed_replay(message, 77, classes)
     # At the cap (521,731 theorems and about 1.4e9 non-theorems) no message
     # here reaches a class's size and the classes are too large to
@@ -301,7 +313,7 @@ def test_encode_lines_with_one_rare_value():
     # closed-form replay, whose order the tests above pin at the cap.
     message = _shuffled_message(rng, 10, 300)
     src = RandomSource(78)
-    out = encode_lines(message, src, MAX_SIZE_BOUND)
+    out = "".join(encode_lines(message, src, MAX_SIZE_BOUND))
     assert (out, src._state) == _per_bit_replay(message, 78, MAX_SIZE_BOUND)
 
 

@@ -86,7 +86,7 @@ def test_statement_line_encode_scales_linearly():
     message = RandomSource(12).bits(8 * n)
 
     def encode(m):
-        return statement_encode_lines(m, obj)
+        return "".join(statement_encode_lines(m, obj))
 
     ratio = _best_of_3(encode, message) / _best_of_3(encode, message[:n])
     assert ratio < MAX_RATIO, f"encode_lines: 8x took {ratio:.1f}x as long"
@@ -99,7 +99,7 @@ def test_facts_encode_scales_linearly():
     message = RandomSource(7).bits(8 * n)
 
     def encode(m):
-        return encode_lines(m, RandomSource(8), 24)
+        return "".join(encode_lines(m, RandomSource(8), 24))
 
     ratio = _best_of_3(encode, message) / _best_of_3(encode, message[:n])
     assert ratio < MAX_RATIO, f"encode_lines: 8x took {ratio:.1f}x as long"
@@ -110,7 +110,7 @@ def test_facts_decode_scales_linearly():
     # all but a few distinct: nearly every line misses the decoder's table.
     n = 500
     message = RandomSource(9).bits(8 * n)
-    lines = encode_lines(message, RandomSource(10), MAX_SIZE_BOUND).splitlines()
+    lines = "".join(encode_lines(message, RandomSource(10), MAX_SIZE_BOUND)).splitlines()
     assert len(set(lines)) > 0.99 * len(lines)
     assert facts.decode_lines(lines[:n]) == message[:n]
     ratio = _best_of_3(facts.decode_lines, lines) / _best_of_3(facts.decode_lines,

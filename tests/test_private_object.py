@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from otplab.bitstring import BitString, xor
 from otplab.otp import encrypt
 from otplab.private_object import (
+    _BLOCK_LINES,
     PadObject,
     PrivateObject,
     Statement,
@@ -253,7 +254,7 @@ def test_wire_path_matches_statement_path(case, data):
     # lines one describe call each renders, and the per-line decoder.
     obj, m = case
     stmts = encode_statements(m, obj)
-    wire = encode_lines(m, obj)
+    wire = "".join(encode_lines(m, obj))
     assert wire == _reference_lines(m, obj)
     lines = wire.splitlines()
     assert [statement_from_line(line) for line in lines] == stmts
@@ -272,8 +273,8 @@ def test_decode_lines_rejects_statement_past_object_end():
 
 def test_encode_lines_rejects_message_longer_than_object():
     with pytest.raises(ValueError, match="independent features"):
-        encode_lines(BitString.zeros(11), PadObject(PAD))
-    assert encode_lines(BitString(""), PadObject(PAD)) == ""
+        "".join(encode_lines(BitString.zeros(11), PadObject(PAD)))
+    assert "".join(encode_lines(BitString(""), PadObject(PAD))) == ""
 
 
 def _decode_per_line(lines, obj):
@@ -330,7 +331,7 @@ def test_decode_lines_peak_memory_stays_small():
     n = 100_000
     pad, message = RandomSource(11).bits(n), RandomSource(12).bits(n)
     obj = PadObject(pad)
-    lines = encode_lines(message, obj).splitlines()
+    lines = "".join(encode_lines(message, obj)).splitlines()
     tracemalloc.start()
     try:
         decoded = decode_lines(lines, obj)
@@ -390,7 +391,7 @@ def _pads_and_messages(draw):
 def test_pad_object_renders_every_line_as_describe_does(case):
     pad, message = case
     obj = PadObject(pad)
-    wire = encode_lines(message, obj)
+    wire = "".join(encode_lines(message, obj))
     assert wire == _reference_lines(message, obj)
     assert decode_lines(wire.splitlines(), obj) == message
 
@@ -421,14 +422,39 @@ def test_a_line_break_in_a_rendering_writes_nothing(rendering):
     with pytest.raises(ValueError, match="line break"):
         statement_to_line(Statement(1, 0, rendering))
     with pytest.raises(ValueError, match="line break"):
-        encode_lines(BitString("1"), _Broken(rendering))
-    assert encode_lines(BitString("1"), _Broken("a 2 0")) == "1 0 a 2 0\n"
+        "".join(encode_lines(BitString("1"), _Broken(rendering)))
+    assert "".join(encode_lines(BitString("1"), _Broken("a 2 0"))) == "1 0 a 2 0\n"
+
+
+class _BreaksAt(_Coin):
+    # A describe whose rendering breaks its line at one index only.
+    entropy_bits = 2 * _BLOCK_LINES
+
+    def __init__(self, index):
+        self.index = index
+
+    def describe(self, index, claimed_value):
+        if index == self.index:
+            return "a\nb"
+        return super().describe(index, claimed_value)
+
+
+def test_a_line_break_in_a_later_block_raises_when_that_block_is_taken():
+    # Only the length check comes before the first block: a block is
+    # rendered when it is taken, so the blocks before a faulty rendering
+    # reach the caller first.
+    obj = _BreaksAt(_BLOCK_LINES + 1)
+    message = RandomSource(13).bits(_BLOCK_LINES + 1)
+    blocks = encode_lines(message, obj)
+    assert next(blocks) == _reference_lines(message[:_BLOCK_LINES], obj)
+    with pytest.raises(ValueError, match="line break"):
+        next(blocks)
 
 
 @pytest.mark.parametrize("obj", [demo_object(), _Coin()])
 def test_other_objects_still_render_through_describe(obj):
     message = BitString("011010")
-    wire = encode_lines(message, obj)
+    wire = "".join(encode_lines(message, obj))
     assert wire == _reference_lines(message, obj)
     assert decode_lines(wire.splitlines(), obj) == message
 
@@ -436,6 +462,6 @@ def test_other_objects_still_render_through_describe(obj):
 def test_table_object_lines_are_pinned():
     # Digest of the lines rendered by one describe call per line.
     obj = TableObject([(f"feature {i}", i % 3 == 0) for i in range(50)])
-    wire = encode_lines(RandomSource(5).bits(50), obj)
+    wire = "".join(encode_lines(RandomSource(5).bits(50), obj))
     assert hashlib.sha256(wire.encode()).hexdigest() == (
         "d702e552a5afcd93e109f2a16764bc0bda2a474c0d8f094529ff660da22de328")
