@@ -285,5 +285,6 @@ def decode_string(text: str) -> int:
 def decode_lines(lines: Iterable[str]) -> BitString:
     """The bits :func:`decode_string` reads from ``lines``, in order; the
     first malformed line raises its :class:`ParseError`."""
-    table = _Table(lambda line: "01"[decode_string(line)])
-    return BitString("".join(map(table.__getitem__, lines)))
+    table = _Table(lambda line: b"01"[decode_string(line)])  # an ASCII digit
+    digits = bytes(map(table.__getitem__, lines))
+    return BitString.from_int(int(digits or b"0", 2), len(digits))

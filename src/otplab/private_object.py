@@ -17,11 +17,15 @@ is taken, so a faulty rendering surfaces after the blocks before it.
 A statement travels as one line, ``<index> <claimed_value> <rendering>``:
 an index of 1 or more, a claim of 0 or 1 and a display-only rendering.
 There is one reader and one writer of that line.  :func:`decode_lines`
-reads it from any iterable of lines, with no Python call per line, and
-:func:`verify_statements` reads each :class:`Statement` through it.
-:func:`statement_to_line` writes it, refusing a rendering with a line
-break, and the default :meth:`PrivateObject.render_lines` writes through
-it; :class:`PadObject` renders its fixed wording in one comprehension.
+reads it from any iterable of lines, with no Python call per line.
+:func:`statement_to_line` writes it, and refuses what its reader would
+misread: an index or claim that is not a single token, or a rendering
+with a line break.  The default :meth:`PrivateObject.render_lines` writes
+through it; :class:`PadObject` renders its fixed wording in one
+comprehension.  A :class:`Statement` is the wire form read back:
+:func:`encode_statements` reads the lines :func:`encode_lines` writes, and
+:func:`verify_statements` writes each statement's index and claim as a
+line for :func:`decode_lines`.
 
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
@@ -159,59 +163,44 @@ class TableObject(PrivateObject):
         return f"'{name}' is {'true' if claimed_value else 'false'}"
 
 
-def _claims(message: BitString, obj: PrivateObject) -> BitString:
-    # The claimed values: message XOR features 1..len(message).
-    if message.length > obj.entropy_bits:
-        raise ValueError(
-            f"message has {message.length} bits but the object offers only "
-            f"{obj.entropy_bits} independent features"
-        )
-    return message ^ obj.features(message.length)
-
-
-def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]:
-    """One statement per message bit: true claims carry 0, false carry 1."""
-    describe = obj.describe
-    return [
-        Statement(j, claimed, describe(j, claimed))
-        for j, claimed in enumerate(_claims(message, obj), start=1)
-    ]
-
-
 # Lines per text block that encode_lines yields, here and in facts.
 _BLOCK_LINES = 1024
 
 
 def encode_lines(message: BitString, obj: PrivateObject) -> Iterator[str]:
-    """The wire form of :func:`encode_statements`: one line per message bit,
-    each ending in a newline, yielded in text blocks of
-    :data:`_BLOCK_LINES` lines (the last block may be shorter) and built
-    without a :class:`Statement` per line by the object's
-    :meth:`PrivateObject.render_lines`.  A message longer than the object
-    is refused by this call, before the first block; that is the only check
-    made before it.  Each block is rendered when it is taken, so a rendering
-    fault, such as a line break in a ``describe``, raises when its block is
-    taken, after the blocks before it have been yielded."""
+    """The statement lines of ``message``, one per bit, each ending in a
+    newline, in text blocks of :data:`_BLOCK_LINES` lines (the last block
+    may be shorter) that the object's :meth:`PrivateObject.render_lines`
+    builds without a :class:`Statement` per line.  A message longer than
+    the object is refused by this call; that is the only check made before
+    the first block.  Each block is rendered when it is taken, so a
+    rendering fault, such as a line break in a ``describe``, raises after
+    the blocks before it have been yielded."""
+    if message.length > obj.entropy_bits:
+        raise ValueError(
+            f"message has {message.length} bits but the object offers only "
+            f"{obj.entropy_bits} independent features"
+        )
     # The claims' text is sliced per block: slicing the BitString instead
     # would shift the whole message once per block.
-    claims = _claims(message, obj).to01()
+    claims = (message ^ obj.features(message.length)).to01()
     return (obj.render_lines(claims[i:i + _BLOCK_LINES], i + 1)
             for i in range(0, len(claims), _BLOCK_LINES))
 
 
-def verify_statements(
-    statements: Iterable[Statement], obj: PrivateObject
-) -> BitString:
-    """Check each statement against the object: true -> 0, false -> 1.
+def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]:
+    """The lines of :func:`encode_lines` as :func:`statement_from_line`
+    reads them: true claims carry 0, false carry 1."""
+    return [statement_from_line(line)
+            for block in encode_lines(message, obj) for line in block.splitlines()]
 
-    A statement whose fields are one token each is read as its line
-    ``<index> <claimed_value>`` by :func:`decode_lines`; any other is refused.
-    """
-    lines = [f"{s.feature_index} {s.claimed_value}" for s in statements]
-    for line in lines:
-        if len(line.split()) != 2:
-            raise StatementParseError(f"statement field is not one token: {line!r}")
-    return decode_lines(lines, obj)
+
+def verify_statements(statements: Iterable[Statement], obj: PrivateObject) -> BitString:
+    """Check each statement against the object: true -> 0, false -> 1.  Each
+    is read by :func:`decode_lines` as the line ``<index> <claimed_value>``
+    that :func:`statement_to_line` writes of it."""
+    return decode_lines((statement_to_line(Statement(s.feature_index, s.claimed_value))
+                         for s in statements), obj)
 
 
 # The one test of a statement line: an unsigned ASCII decimal index without
@@ -229,8 +218,8 @@ def decode_lines(lines: Iterable[str], obj: PrivateObject) -> BitString:
     """
     width = obj.entropy_bits
     values = " " + obj.features(width).to01()  # values[i] is feature i
-    bits = []
-    append = bits.append
+    digits = bytearray()  # one ASCII "0" or "1" per line
+    append = digits.append
     accept = _LINE.match
     for line in lines:
         fields = accept(line)
@@ -245,8 +234,8 @@ def decode_lines(lines: Iterable[str], obj: PrivateObject) -> BitString:
             raise StatementParseError(
                 f"feature index {index} outside 1..{width}"
             )
-        append("0" if values[index] == claimed else "1")
-    return BitString("".join(bits))
+        append(48 if values[index] == claimed else 49)
+    return BitString.from_int(int(digits or b"0", 2), len(digits))
 
 
 def _line_error(line: str) -> StatementParseError:
@@ -270,14 +259,20 @@ def _line_error(line: str) -> StatementParseError:
 
 def statement_to_line(stmt: Statement) -> str:
     """Wire form: ``<index> <claimed_value> <rendering>``, the rendering
-    left out when it is empty.  A rendering that str.splitlines() would
-    split is refused: it would write more than one line."""
+    left out when it is empty.  It refuses what its reader would misread:
+    an index or claim that is not exactly one token raises
+    :class:`StatementParseError`, and a rendering that str.splitlines()
+    would split raises :class:`ValueError`."""
+    fields = [str(stmt.feature_index), str(stmt.claimed_value)]
+    head = " ".join(fields)
+    if head.split() != fields:  # a field that is empty or holds whitespace
+        raise StatementParseError(f"statement field is not one token: {head!r}")
     rendering = stmt.rendering
     if not rendering:
-        return f"{stmt.feature_index} {stmt.claimed_value}"
+        return head
     if rendering.splitlines() != [rendering]:
         raise ValueError(f"statement rendering {rendering!r} contains a line break")
-    return f"{stmt.feature_index} {stmt.claimed_value} {rendering}"
+    return f"{head} {rendering}"
 
 
 def statement_from_line(line: str) -> Statement:

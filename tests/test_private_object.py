@@ -465,3 +465,73 @@ def test_table_object_lines_are_pinned():
     wire = "".join(encode_lines(RandomSource(5).bits(50), obj))
     assert hashlib.sha256(wire.encode()).hexdigest() == (
         "d702e552a5afcd93e109f2a16764bc0bda2a474c0d8f094529ff660da22de328")
+
+
+class _Indented(_Coin):
+    # A describe whose rendering starts with whitespace, which the reader drops.
+    def describe(self, index, claimed_value):
+        return " \t" + super().describe(index, claimed_value)
+
+
+@pytest.mark.parametrize("obj", [PadObject(PAD), demo_object(), _Coin(), _Indented()])
+def test_encode_statements_are_the_wire_lines_read_back(obj):
+    message = RandomSource(19).bits(obj.entropy_bits)
+    wire = "".join(encode_lines(message, obj))
+    stmts = [(s.feature_index, s.claimed_value, s.rendering)
+             for s in encode_statements(message, obj)]
+    assert stmts == [(s.feature_index, s.claimed_value, s.rendering)
+                     for s in map(statement_from_line, wire.splitlines())]
+    # Against one describe call per line, as the reader reads its rendering.
+    claims = [b ^ obj.feature(j) for j, b in enumerate(message, start=1)]
+    assert stmts == [(j, c, obj.describe(j, c).lstrip())
+                     for j, c in enumerate(claims, start=1)]
+
+
+def test_encode_statements_refuses_a_rendering_with_a_line_break():
+    with pytest.raises(ValueError, match="line break"):
+        encode_statements(BitString("1"), _Broken("a\n2 0"))
+
+
+# Every character str.splitlines() ends a line at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_FIELDS = (st.integers(-3, 10**6) | st.booleans()
+           | st.from_regex(r"[0-9]{1,3}", fullmatch=True)
+           | st.text(st.sampled_from("01x \t\u3000\xa0" + _LINE_BREAKS), max_size=4))
+_RENDERINGS = (st.text(st.sampled_from("ab1 \t\u3000\xa0" + _LINE_BREAKS), max_size=6)
+               | st.text(max_size=6))
+
+
+@settings(max_examples=300)
+@given(st.builds(Statement, _FIELDS, _FIELDS, _RENDERINGS))
+@example(stmt=Statement("1 1", 0))
+@example(stmt=Statement(1, "1 x"))
+@example(stmt=Statement(1, "1\n0"))
+@example(stmt=Statement(" 1", 0))
+@example(stmt=Statement(1, 0, " \u3000x "))
+def test_a_written_line_reads_back_as_its_statement_or_not_at_all(stmt):
+    # The writer refuses a field that is empty or holds whitespace, and a
+    # rendering with a line break; any other line its reader either refuses
+    # or reads back field for field, the rendering without leading space.
+    fields = (str(stmt.feature_index), str(stmt.claimed_value))
+    try:
+        line = statement_to_line(stmt)
+    except StatementParseError:
+        assert any(not f or any(c.isspace() for c in f) for f in fields)
+        return
+    except ValueError:
+        assert any(c in _LINE_BREAKS for c in stmt.rendering)
+        return
+    try:
+        back = statement_from_line(line)
+    except StatementParseError:
+        return
+    assert (str(back.feature_index), str(back.claimed_value)) == fields
+    assert back.rendering == stmt.rendering.lstrip()
+
+
+@pytest.mark.parametrize("stmt", [Statement("1 1", 0), Statement(1, "1 x"),
+                                  Statement(1, "1\n0")])
+def test_the_writer_refuses_a_field_of_more_than_one_token(stmt):
+    # Each would read back as index 1 claiming 1, with a rendering tail.
+    with pytest.raises(StatementParseError, match="^statement field is not one token"):
+        statement_to_line(stmt)
