@@ -33,12 +33,18 @@ class BitString:
         if isinstance(bits, BitString):
             value, length = bits._value, bits._length
         elif isinstance(bits, str):
-            # int(text, 2) alone would also accept "_", whitespace, signs
-            # and a "0b" prefix, so check the characters first.
-            if not bits.isascii() or bits.encode("ascii").translate(None, b"01"):
-                raise ValueError("bit string text may contain only '0' and '1'")
+            # Beyond 0/1, int(ascii, 2) takes only end whitespace, a sign, "0b"
+            # and "_"; the guards rule these out, so int() checks the rest.
             length = len(bits)
-            value = int(bits, 2) if bits else 0
+            try:
+                if bits and (not bits.isascii() or bits[0] not in "01"
+                             or bits[-1] not in "01" or "_" in bits
+                             or bits.startswith(("0b", "0B"))):
+                    raise ValueError
+                value = int(bits, 2) if bits else 0
+            except ValueError:
+                raise ValueError(
+                    "bit string text may contain only '0' and '1'") from None
         else:
             chars = []
             for b in bits:

@@ -23,7 +23,7 @@ from functools import cache, partial
 from itertools import chain
 from typing import Iterator, List, Optional
 
-from . import analysis, codec, facts, private_object, reduction
+from . import __version__, analysis, codec, facts, private_object, reduction
 from .bitstring import BitString, bits_from_text
 from .codec import CorruptPadError
 from .facts import ParseError
@@ -252,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="One-time-pad laboratory: pads, reduced pads, codecs, "
         "statement encodings and secrecy analysis.",
     )
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a pad file")
@@ -329,7 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0 once printed
+        if exc.code:
+            raise
+        return EXIT_OK
     try:
         # Only the commands with an --out file have a product other than
         # stdout.  With fd 1 closed at startup sys.stdout is None, and

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, strategies as st
 
 from otplab.bitstring import BitString, bits_from_text, xor
 from otplab.rng import RandomSource
@@ -33,6 +33,55 @@ def test_construct_rejects_junk():
     for junk in ([0, 2], [0, 1, 2]):
         with pytest.raises(ValueError, match="bit must be 0 or 1, got 2"):
             BitString(junk)
+
+
+# Characters int(text, 2) treats specially: whitespace at either end, a sign,
+# a "0b" prefix, "_" between digits, and digits of other scripts.
+INT_SPECIALS = ("_", " ", "\t", "\n", "\x1c", "\u3000", "+", "-", "b", "B",
+                "0b", "0B", "1_0", "x", "2", "\u0661", "\uff11")
+
+
+@st.composite
+def near_bit_texts(draw):
+    """0/1 text with up to three of INT_SPECIALS or arbitrary characters put
+    in at random places."""
+    text = draw(st.text("01", max_size=8))
+    extra = st.one_of(st.sampled_from(INT_SPECIALS), st.characters())
+    for token in draw(st.lists(extra, max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + token + text[at:]
+    return text
+
+
+@settings(max_examples=500)
+@given(near_bit_texts())
+@example("")
+@example("0")
+@example("1")
+@example("_")
+@example("1_0")
+@example("0b1")
+@example("0B1")
+@example("+1")
+@example("-0")
+@example(" 1")
+@example("1 ")
+@example("1\n")
+@example("\x1c1")
+@example("1\u3000")
+@example("\u0661")
+@example("01x")
+@example("1\u06610")
+@example("0\uff111")
+def test_text_is_accepted_exactly_when_it_is_only_0_and_1(text):
+    # The reference reads every character: ASCII, and only '0' and '1'.
+    if text.isascii() and not text.encode("ascii").translate(None, b"01"):
+        s = BitString(text)
+        assert (s.value, len(s)) == (int(text, 2) if text else 0, len(text))
+    else:
+        with pytest.raises(ValueError) as exc:
+            BitString(text)
+        assert str(exc.value) == "bit string text may contain only '0' and '1'"
 
 
 def test_from_int_bounds():

@@ -530,6 +530,33 @@ def test_oversized_argument_is_exit_2(capsys, tmp_path, pad_file, command):
     assert not (tmp_path / "r.otpd").exists()
 
 
+BIT_TEXT_COMMANDS = {
+    "encrypt": ["encrypt", "--pad", "{pad}", "--in={bits}"],
+    "decrypt": ["decrypt", "--pad", "{pad}", "--in={bits}"],
+    "encrypt --reduced": ["encrypt", "--pad", "{pad}", "--in={bits}", "--reduced",
+                          "--message-bits", "10", "--k", "2"],
+    "po-encode": ["po-encode", "--pad", "{pad}", "--in={bits}"],
+    "facts-encode": ["facts-encode", "--in={bits}", "--seed", "1"],
+    "analyze distinguish --m0": ["analyze", "distinguish", "--n", "2",
+                                 "--trials", "10", "--m0={bits}", "--m1=01"],
+    "analyze distinguish --m1": ["analyze", "distinguish", "--n", "2",
+                                 "--trials", "10", "--m0=01", "--m1={bits}"],
+}
+# All but "1x" and "1 0" are bits to int(text, 2).
+BAD_BIT_TEXTS = ("1x", "1 0", "1_0", "0b1", "0B1", "+1", "-0", " 1", "1\n",
+                 "\x1c1", "1\u3000", "\u0661", "1\u06610")
+
+
+@pytest.mark.parametrize("bits", BAD_BIT_TEXTS)
+@pytest.mark.parametrize("command", sorted(BIT_TEXT_COMMANDS))
+def test_bad_bit_text_is_exit_2(capsys, pad_file, command, bits):
+    argv = [a.format(pad=pad_file, bits=bits) for a in BIT_TEXT_COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "only '0' and '1'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
 def test_reduced_pad_of_impossible_length_is_exit_3(capsys, tmp_path, command):
     short = tmp_path / "short.otpd"

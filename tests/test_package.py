@@ -176,3 +176,23 @@ def test_reimport_frees_the_earlier_modules():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def _python_m_otplab(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "otplab", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+
+def test_python_dash_m_otplab_runs_the_cli(capsys):
+    proc = _python_m_otplab("--version")
+    assert (proc.returncode, proc.stdout) == (0, f"otplab {otplab.__version__}\n")
+    argv = ["analyze", "exact", "--n", "2", "--k", "1"]
+    proc = _python_m_otplab(*argv)
+    assert otplab.cli.main(argv) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    proc = _python_m_otplab("facts-encode", "--seed", "1", "--in", "0b1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: bit string text may contain only '0' and '1'\n"
