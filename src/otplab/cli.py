@@ -115,7 +115,7 @@ def _cmd_pad_decompress(args) -> int:
 def _cmd_po_encode(args) -> int:
     message = _message_bits(args)
     obj = private_object.PadObject(read_pad(args.pad))
-    sys.stdout.writelines(private_object.encode_lines(message, obj))
+    sys.stdout.writelines(private_object.encode_statements(message, obj))
     return EXIT_OK
 
 
@@ -185,7 +185,7 @@ def _line_blocks(path: Optional[str]) -> Iterator[Iterator[str]]:
 def _cmd_po_decode(args) -> int:
     obj = private_object.PadObject(read_pad(args.pad))
     lines = _read_lines(getattr(args, "in"))
-    print(private_object.decode_lines(lines, obj).to01())
+    print(private_object.verify_statements(lines, obj).to01())
     return EXIT_OK
 
 

@@ -7,25 +7,23 @@ object and reads the bits back off.  When the object is a pad and feature
 ``i`` is "bit i of the pad", the claimed values are exactly the XOR
 ciphertext, which is what makes the reinterpretation faithful.
 
-The encoder and the verifier read the object once per message, through
-:meth:`PrivateObject.features`, not once per bit: for a pad that is one
-slice, so encoding a message costs one XOR plus rendering the lines.
-:func:`encode_lines` renders them in text blocks of :data:`_BLOCK_LINES`
-lines, so a writer holds one block at a time; a block is rendered when it
-is taken, so a faulty rendering surfaces after the blocks before it.
+There is one API per direction, on wire lines: :func:`encode_statements`
+writes a message's statement lines and :func:`verify_statements` reads
+them back.  Both read the object once per message, through
+:meth:`PrivateObject.features`: for a pad that is one slice, so encoding
+costs one XOR plus rendering the lines, in text blocks of
+:data:`_BLOCK_LINES` lines that are rendered as they are taken.
 
 A statement travels as one line, ``<index> <claimed_value> <rendering>``:
 an index of 1 or more, a claim of 0 or 1 and a display-only rendering.
-There is one reader and one writer of that line.  :func:`decode_lines`
-reads it from any iterable of lines, with no Python call per line.
-:func:`statement_to_line` writes it, and refuses what its reader would
-misread: an index or claim that is not a single token, or a rendering
-with a line break.  The default :meth:`PrivateObject.render_lines` writes
-through it; :class:`PadObject` renders its fixed wording in one
-comprehension.  A :class:`Statement` is the wire form read back:
-:func:`encode_statements` reads the lines :func:`encode_lines` writes, and
-:func:`verify_statements` writes each statement's index and claim as a
-line for :func:`decode_lines`.
+:func:`verify_statements` is its one reader, with no Python call per line.
+:func:`statement_to_line` is its one writer, and refuses what the reader
+would misread: an index or claim that is not a single token, or a
+rendering with a line break.  The default :meth:`PrivateObject.render_lines`
+writes through it; :class:`PadObject` renders its fixed wording in one
+comprehension.  A :class:`Statement` is one line as
+:func:`statement_from_line` reads it; statements are verified as
+``verify_statements(map(statement_to_line, stmts), obj)``.
 
 Each message bit must consume its own feature; reusing or correlating
 features is what breaks the secrecy argument, so the encoder walks feature
@@ -37,7 +35,7 @@ from __future__ import annotations
 import abc
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .bitstring import BitString
 
@@ -163,19 +161,19 @@ class TableObject(PrivateObject):
         return f"'{name}' is {'true' if claimed_value else 'false'}"
 
 
-# Lines per text block that encode_lines yields, here and in facts.
+# Lines per text block that encode_statements yields, here and in facts.
 _BLOCK_LINES = 1024
 
 
-def encode_lines(message: BitString, obj: PrivateObject) -> Iterator[str]:
+def encode_statements(message: BitString, obj: PrivateObject) -> Iterator[str]:
     """The statement lines of ``message``, one per bit, each ending in a
-    newline, in text blocks of :data:`_BLOCK_LINES` lines (the last block
-    may be shorter) that the object's :meth:`PrivateObject.render_lines`
-    builds without a :class:`Statement` per line.  A message longer than
-    the object is refused by this call; that is the only check made before
-    the first block.  Each block is rendered when it is taken, so a
-    rendering fault, such as a line break in a ``describe``, raises after
-    the blocks before it have been yielded."""
+    newline: true claims carry 0, false carry 1.  They come lazily, in text
+    blocks of :data:`_BLOCK_LINES` lines (the last may be shorter) that the
+    object's :meth:`PrivateObject.render_lines` builds.  The call itself
+    only refuses a message longer than the object and takes one XOR, so a
+    span timed around it leaves out the rendering.  A block is rendered
+    when it is taken, so a rendering fault, such as a line break in a
+    ``describe``, raises after the blocks before it have been yielded."""
     if message.length > obj.entropy_bits:
         raise ValueError(
             f"message has {message.length} bits but the object offers only "
@@ -188,21 +186,6 @@ def encode_lines(message: BitString, obj: PrivateObject) -> Iterator[str]:
             for i in range(0, len(claims), _BLOCK_LINES))
 
 
-def encode_statements(message: BitString, obj: PrivateObject) -> List[Statement]:
-    """The lines of :func:`encode_lines` as :func:`statement_from_line`
-    reads them: true claims carry 0, false carry 1."""
-    return [statement_from_line(line)
-            for block in encode_lines(message, obj) for line in block.splitlines()]
-
-
-def verify_statements(statements: Iterable[Statement], obj: PrivateObject) -> BitString:
-    """Check each statement against the object: true -> 0, false -> 1.  Each
-    is read by :func:`decode_lines` as the line ``<index> <claimed_value>``
-    that :func:`statement_to_line` writes of it."""
-    return decode_lines((statement_to_line(Statement(s.feature_index, s.claimed_value))
-                         for s in statements), obj)
-
-
 # The one test of a statement line: an unsigned ASCII decimal index without
 # leading zeros, whitespace, a claimed value of exactly 0 or 1, then the end
 # or whitespace and the rendering.  ``\s`` is the whitespace str.split()
@@ -211,11 +194,12 @@ def verify_statements(statements: Iterable[Statement], obj: PrivateObject) -> Bi
 _LINE = re.compile(r"\s*([1-9][0-9]*)\s+([01])(?!\S)")
 
 
-def decode_lines(lines: Iterable[str], obj: PrivateObject) -> BitString:
-    """Parse, check and read back statement lines in one loop, with no
-    :class:`Statement` and no Python call per line: true -> 0, false -> 1.
-    The first faulty line raises :class:`StatementParseError`.
-    """
+def verify_statements(lines: Iterable[str], obj: PrivateObject) -> BitString:
+    """Check each statement line against the object and read the message
+    back: true -> 0, false -> 1, in one loop with no :class:`Statement` and
+    no Python call per line.  The lines may come in any order and repeat;
+    each is read as :func:`statement_from_line` reads it.  The first faulty
+    line raises :class:`StatementParseError`."""
     width = obj.entropy_bits
     values = " " + obj.features(width).to01()  # values[i] is feature i
     digits = bytearray()  # one ASCII "0" or "1" per line

@@ -27,7 +27,12 @@ from otplab.facts import (
     parse_pq,
 )
 from otplab.otp import decrypt, encrypt
-from otplab.private_object import PadObject, encode_statements, verify_statements
+from otplab.private_object import (
+    PadObject,
+    encode_statements,
+    statement_from_line,
+    verify_statements,
+)
 from otplab.reduction import (
     ReductionParams,
     allowed_tails,
@@ -165,13 +170,14 @@ def test_criterion_6_private_object_equivalence():
         n = 1 + src.randbelow(32)
         m = src.bits(n)
         pad = src.bits(n)
-        stmts = encode_statements(m, PadObject(pad))
-        claimed = BitString(s.claimed_value for s in stmts)
+        lines = "".join(encode_statements(m, PadObject(pad))).splitlines()
+        claimed = BitString(statement_from_line(s).claimed_value for s in lines)
         ok &= claimed == xor(m, pad)
-        ok &= verify_statements(stmts, PadObject(pad)) == m
+        ok &= verify_statements(lines, PadObject(pad)) == m
     # Worked statements: bits 1, 2 and 10 of the classical ciphertext.
-    stmts = encode_statements(BitString("0010110101"),
-                              PadObject(BitString("1011001001")))
+    lines = "".join(encode_statements(BitString("0010110101"),
+                                      PadObject(BitString("1011001001"))))
+    stmts = [statement_from_line(line) for line in lines.splitlines()]
     cipher = BitString("1001111100")
     ok &= stmts[0].claimed_value == cipher[0] == 1
     ok &= stmts[1].claimed_value == cipher[1] == 0

@@ -1,5 +1,5 @@
 """Large inputs run in linear time: the bulk bit paths, the statement
-encoder and verifiers and the pq encoder and decoder, timed at n and 8n.
+encoder and verifier and the pq encoder and decoder, timed at n and 8n.
 
 A linear path takes about 8 times as long at 8n, a quadratic one about 64
 times.  The bound of 24 leaves room for a host whose speed drifts by tens of
@@ -11,13 +11,7 @@ import time
 from otplab import facts
 from otplab.bitstring import BitString
 from otplab.facts import MAX_SIZE_BOUND, encode_lines
-from otplab.private_object import (
-    PadObject,
-    Statement,
-    decode_lines,
-    encode_lines as statement_encode_lines,
-    verify_statements,
-)
+from otplab.private_object import PadObject, encode_statements, verify_statements
 from otplab.rng import RandomSource
 
 N = 100_000
@@ -45,38 +39,22 @@ def test_bulk_bit_paths_scale_linearly():
         assert ratio < MAX_RATIO, f"{name}: 8x the input took {ratio:.1f}x as long"
 
 
-def test_statement_verify_scales_linearly():
-    # One list of true statements about a 400 kbit pad; its first 50k
-    # statements are also true of the pad's first 50 kbit.
+def test_statement_line_decode_scales_linearly():
+    # Bare "<index> <claim>" lines for a 400 kbit message; its first 50k
+    # lines decode against the pad's first 50 kbit.  verify_statements is
+    # the one statement reader, for po-decode and Statement lists alike.
     n = N // 2
-    pad = RandomSource(4).bits(8 * n)
-    stmts = [Statement(j, c) for j, c in enumerate(pad, start=1)]
-    small = (stmts[:n], PadObject(pad[:n]))
-    large = (stmts, PadObject(pad))
-    assert verify_statements(*small) == BitString.zeros(n)
+    pad, message = RandomSource(5).bits(8 * n), RandomSource(6).bits(8 * n)
+    lines = [f"{j} {c}" for j, c in enumerate(pad ^ message, start=1)]
+    small = (lines[:n], PadObject(pad[:n]))
+    large = (lines, PadObject(pad))
+    assert verify_statements(*small) == message[:n]
 
     def verify(case):
         return verify_statements(*case)
 
     ratio = _best_of_3(verify, large) / _best_of_3(verify, small)
     assert ratio < MAX_RATIO, f"verify_statements: 8x took {ratio:.1f}x as long"
-
-
-def test_statement_line_decode_scales_linearly():
-    # Bare "<index> <claim>" lines for a 400 kbit message; its first 50k
-    # lines decode against the pad's first 50 kbit.
-    n = N // 2
-    pad, message = RandomSource(5).bits(8 * n), RandomSource(6).bits(8 * n)
-    lines = [f"{j} {c}" for j, c in enumerate(pad ^ message, start=1)]
-    small = (lines[:n], PadObject(pad[:n]))
-    large = (lines, PadObject(pad))
-    assert decode_lines(*small) == message[:n]
-
-    def decode(case):
-        return decode_lines(*case)
-
-    ratio = _best_of_3(decode, large) / _best_of_3(decode, small)
-    assert ratio < MAX_RATIO, f"decode_lines: 8x took {ratio:.1f}x as long"
 
 
 def test_statement_line_encode_scales_linearly():
@@ -86,10 +64,10 @@ def test_statement_line_encode_scales_linearly():
     message = RandomSource(12).bits(8 * n)
 
     def encode(m):
-        return "".join(statement_encode_lines(m, obj))
+        return "".join(encode_statements(m, obj))
 
     ratio = _best_of_3(encode, message) / _best_of_3(encode, message[:n])
-    assert ratio < MAX_RATIO, f"encode_lines: 8x took {ratio:.1f}x as long"
+    assert ratio < MAX_RATIO, f"encode_statements: 8x took {ratio:.1f}x as long"
 
 
 def test_facts_encode_scales_linearly():

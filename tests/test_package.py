@@ -129,6 +129,9 @@ def test_every_workload_command_runs_under_the_benchmark_tracer(tmp_path):
     words = [s["rng.bits"]["extra"] for s in stats]
     assert words[0] == words[1] > 0
     assert all(s["facts.decode_string"]["calls"] > 0 for s in stats)
+    # po-encode and po-decode run the names the statement metrics trace.
+    assert all(s[f"private_object.{name}"]["calls"] > 0 for s in stats
+               for name in ("encode_statements", "verify_statements"))
 
 
 def test_library_distinguisher_draws_every_word_through_bits():

@@ -14,8 +14,6 @@ from otplab.private_object import (
     Statement,
     StatementParseError,
     TableObject,
-    decode_lines,
-    encode_lines,
     encode_statements,
     statement_from_line,
     statement_to_line,
@@ -32,6 +30,16 @@ from conftest import (
 
 PAD = BitString("1011001001")
 MSG = BitString("0010110101")
+
+
+def _lines(message, obj):
+    return "".join(encode_statements(message, obj)).splitlines()
+
+
+def _read_back(message, obj):
+    # The statements of the encoder's lines, as their receiver reads them.
+    return [statement_from_line(line) for line in _lines(message, obj)]
+
 
 # The fault each malformed line is named by, in the order the checks run:
 # two fields, then the claimed value, then the index, then int().
@@ -66,7 +74,7 @@ def test_pad_object_rejects_empty_pad():
 
 
 def test_worked_example_claimed_values():
-    stmts = encode_statements(MSG, PadObject(PAD))
+    stmts = _read_back(MSG, PadObject(PAD))
     claimed = BitString(s.claimed_value for s in stmts)
     assert claimed == BitString("1001111100")
     # The first two statements are true (message bits 0), the tenth is false.
@@ -78,19 +86,19 @@ def test_worked_example_claimed_values():
 
 def test_all_zero_message_makes_true_statements():
     obj = PadObject(PAD)
-    stmts = encode_statements(BitString.zeros(10), obj)
-    assert verify_statements(stmts, obj) == BitString.zeros(10)
+    stmts = _read_back(BitString.zeros(10), obj)
+    assert verify_statements(map(statement_to_line, stmts), obj) == BitString.zeros(10)
     assert BitString(s.claimed_value for s in stmts) == PAD
 
 
 def test_verify_examples():
     obj = PadObject(PAD)
-    assert verify_statements([Statement(1, 1)], obj) == BitString("0")
-    assert verify_statements([Statement(10, 0)], obj) == BitString("1")
+    for stmt, bit in ((Statement(1, 1), "0"), (Statement(10, 0), "1")):
+        assert verify_statements(map(statement_to_line, [stmt]), obj) == BitString(bit)
 
 
 def test_each_bit_uses_its_own_feature():
-    stmts = encode_statements(MSG, PadObject(PAD))
+    stmts = _read_back(MSG, PadObject(PAD))
     assert [s.feature_index for s in stmts] == list(range(1, 11))
 
 
@@ -102,7 +110,7 @@ def test_message_longer_than_entropy_rejected():
 @given(equal_length_pairs(min_len=1, max_len=64))
 def test_claimed_values_equal_xor_ciphertext(pair):
     m, pad = pair
-    stmts = encode_statements(m, PadObject(pad))
+    stmts = _read_back(m, PadObject(pad))
     claimed = BitString(s.claimed_value for s in stmts)
     assert claimed == xor(m, pad)
     assert claimed == encrypt(m, pad)
@@ -114,7 +122,7 @@ def test_round_trip(pair):
     if len(pad) == 0:
         return
     obj = PadObject(pad)
-    assert verify_statements(encode_statements(m, obj), obj) == m
+    assert verify_statements(_lines(m, obj), obj) == m
 
 
 def test_table_object_and_demo():
@@ -123,7 +131,7 @@ def test_table_object_and_demo():
     assert obj.feature(1) == 1
     assert obj.feature(3) == 0
     m = BitString("01010101")
-    assert verify_statements(encode_statements(m, obj), obj) == m
+    assert verify_statements(_lines(m, obj), obj) == m
     with pytest.raises(ValueError):
         TableObject([("broken", 2)])
     assert TableObject([("", 1)]).describe(1, 1) == "'' is true"
@@ -162,7 +170,7 @@ def test_decode_lines_rejects_every_malformed_line():
     obj = PadObject(PAD)
     for bad in MALFORMED_STATEMENT_LINES:
         with pytest.raises(StatementParseError) as info:
-            decode_lines(["1 1", bad], obj)
+            verify_statements(["1 1", bad], obj)
         assert str(info.value) == f"{_FAULTS[bad]}: {bad!r}"
 
 
@@ -182,12 +190,12 @@ def test_encode_is_one_xor_with_the_features(case):
     obj, m = case
     features = obj.features(m.length)
     assert features == BitString(obj.feature(i) for i in range(1, m.length + 1))
-    stmts = encode_statements(m, obj)
+    stmts = _read_back(m, obj)
     assert BitString(s.claimed_value for s in stmts) == m ^ features
     for j, s in enumerate(stmts, start=1):
         assert s.feature_index == j
         assert s.rendering == obj.describe(j, s.claimed_value)
-    assert verify_statements(stmts, obj) == m
+    assert verify_statements(map(statement_to_line, stmts), obj) == m
 
 
 @pytest.mark.parametrize("obj", [PadObject(PAD), demo_object()])
@@ -204,21 +212,24 @@ def test_verify_rejects_statement_past_pad_end():
     # grammar's message and one past the end names the range.
     obj = PadObject(PAD)
     for index, fault in ((0, _INDEX), (11, "feature index 11 outside 1..10")):
+        stmts = [Statement(1, 1), Statement(index, 0)]
         with pytest.raises(StatementParseError, match=f"^{fault}"):
-            verify_statements([Statement(1, 1), Statement(index, 0)], obj)
+            verify_statements(map(statement_to_line, stmts), obj)
 
 
 @pytest.mark.parametrize("claim", [2, "x", -1, True])
 def test_verify_rejects_a_claim_other_than_0_or_1(claim):
+    stmts = [Statement(2, 0), Statement(1, claim)]
     with pytest.raises(StatementParseError,
                        match=f"^{_CLAIM}: '1 {re.escape(str(claim))}'$"):
-        verify_statements([Statement(2, 0), Statement(1, claim)], PadObject(PAD))
+        verify_statements(map(statement_to_line, stmts), PadObject(PAD))
 
 
 def test_verify_reads_a_claim_as_its_line_does():
     # "1" is the wire form of the claim 1, which is true of PAD's bit 1.
     obj = PadObject(PAD)
-    assert verify_statements([Statement(1, "1"), Statement(2, "1")], obj) == BitString("01")
+    stmts = [Statement(1, "1"), Statement(2, "1")]
+    assert verify_statements(map(statement_to_line, stmts), obj) == BitString("01")
 
 
 @pytest.mark.parametrize("stmt", [Statement(1, "1 x"), Statement(1, "1\n0"),
@@ -227,15 +238,19 @@ def test_verify_refuses_a_field_of_more_than_one_token(stmt):
     # Each reads as a valid line "1 1 ..." with a rendering tail, but a
     # Statement has no rendering to carry.
     with pytest.raises(StatementParseError, match="^statement field is not one token"):
-        verify_statements([stmt], PadObject(BitString("1010")))
+        verify_statements(map(statement_to_line, [stmt]), PadObject(BitString("1010")))
 
 
 def test_verify_keeps_statement_order():
     obj = PadObject(PAD)
-    stmts = encode_statements(MSG, obj)
-    assert verify_statements(stmts[::-1], obj) == BitString(MSG.to01()[::-1])
-    assert verify_statements(stmts[3:6], obj) == MSG[3:6]
-    assert verify_statements([stmts[9], stmts[0], stmts[9]], obj) == BitString("101")
+    stmts = _read_back(MSG, obj)
+
+    def verify(picked):
+        return verify_statements(map(statement_to_line, picked), obj)
+
+    assert verify(stmts[::-1]) == BitString(MSG.to01()[::-1])
+    assert verify(stmts[3:6]) == MSG[3:6]
+    assert verify([stmts[9], stmts[0], stmts[9]]) == BitString("101")
 
 
 def test_wire_form_survives_random_messages():
@@ -243,38 +258,21 @@ def test_wire_form_survives_random_messages():
     pad = src.bits(32)
     obj = PadObject(pad)
     m = src.bits(32)
-    lines = [statement_to_line(s) for s in encode_statements(m, obj)]
-    revived = [statement_from_line(line) for line in lines]
-    assert verify_statements(revived, obj) == m
-
-
-@given(objects_and_messages(), st.data())
-def test_wire_path_matches_statement_path(case, data):
-    # Both paths against independent references: the drawn message, the
-    # lines one describe call each renders, and the per-line decoder.
-    obj, m = case
-    stmts = encode_statements(m, obj)
-    wire = "".join(encode_lines(m, obj))
-    assert wire == _reference_lines(m, obj)
-    lines = wire.splitlines()
-    assert [statement_from_line(line) for line in lines] == stmts
-    assert decode_lines(lines, obj) == verify_statements(stmts, obj) == m
-    # Any order and any repeats, as a receiver may be sent them.
-    picked = data.draw(st.lists(st.sampled_from(lines))) if lines else []
-    assert decode_lines(picked, obj) == _decode_per_line(picked, obj)
+    revived = [statement_from_line(line) for line in _lines(m, obj)]
+    assert verify_statements(map(statement_to_line, revived), obj) == m
 
 
 def test_decode_lines_rejects_statement_past_object_end():
     obj = PadObject(PAD)
     for index in (11, 12):
         with pytest.raises(StatementParseError, match=f"feature index {index}"):
-            decode_lines(["1 1", f"{index} 0"], obj)
+            verify_statements(["1 1", f"{index} 0"], obj)
 
 
 def test_encode_lines_rejects_message_longer_than_object():
     with pytest.raises(ValueError, match="independent features"):
-        "".join(encode_lines(BitString.zeros(11), PadObject(PAD)))
-    assert "".join(encode_lines(BitString(""), PadObject(PAD))) == ""
+        "".join(encode_statements(BitString.zeros(11), PadObject(PAD)))
+    assert "".join(encode_statements(BitString(""), PadObject(PAD))) == ""
 
 
 def _decode_per_line(lines, obj):
@@ -320,9 +318,9 @@ def test_decode_lines_matches_per_line_reference(lines):
         expected = _decode_per_line(lines, obj)
     except StatementParseError as exc:
         with pytest.raises(StatementParseError, match=f"^{re.escape(str(exc))}$"):
-            decode_lines(lines, obj)
+            verify_statements(lines, obj)
         return
-    assert decode_lines(lines, obj) == expected
+    assert verify_statements(lines, obj) == expected
 
 
 def test_decode_lines_peak_memory_stays_small():
@@ -331,15 +329,15 @@ def test_decode_lines_peak_memory_stays_small():
     n = 100_000
     pad, message = RandomSource(11).bits(n), RandomSource(12).bits(n)
     obj = PadObject(pad)
-    lines = "".join(encode_lines(message, obj)).splitlines()
+    lines = _lines(message, obj)
     tracemalloc.start()
     try:
-        decoded = decode_lines(lines, obj)
+        decoded = verify_statements(lines, obj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert decoded == message
-    assert peak < 4 << 20, f"decode_lines peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 4 << 20, f"verify_statements peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("obj", [PadObject(BitString("101")),
@@ -391,9 +389,9 @@ def _pads_and_messages(draw):
 def test_pad_object_renders_every_line_as_describe_does(case):
     pad, message = case
     obj = PadObject(pad)
-    wire = "".join(encode_lines(message, obj))
+    wire = "".join(encode_statements(message, obj))
     assert wire == _reference_lines(message, obj)
-    assert decode_lines(wire.splitlines(), obj) == message
+    assert verify_statements(wire.splitlines(), obj) == message
 
 
 class _Coin(PrivateObject):
@@ -422,8 +420,8 @@ def test_a_line_break_in_a_rendering_writes_nothing(rendering):
     with pytest.raises(ValueError, match="line break"):
         statement_to_line(Statement(1, 0, rendering))
     with pytest.raises(ValueError, match="line break"):
-        "".join(encode_lines(BitString("1"), _Broken(rendering)))
-    assert "".join(encode_lines(BitString("1"), _Broken("a 2 0"))) == "1 0 a 2 0\n"
+        "".join(encode_statements(BitString("1"), _Broken(rendering)))
+    assert "".join(encode_statements(BitString("1"), _Broken("a 2 0"))) == "1 0 a 2 0\n"
 
 
 class _BreaksAt(_Coin):
@@ -445,7 +443,7 @@ def test_a_line_break_in_a_later_block_raises_when_that_block_is_taken():
     # reach the caller first.
     obj = _BreaksAt(_BLOCK_LINES + 1)
     message = RandomSource(13).bits(_BLOCK_LINES + 1)
-    blocks = encode_lines(message, obj)
+    blocks = encode_statements(message, obj)
     assert next(blocks) == _reference_lines(message[:_BLOCK_LINES], obj)
     with pytest.raises(ValueError, match="line break"):
         next(blocks)
@@ -454,15 +452,15 @@ def test_a_line_break_in_a_later_block_raises_when_that_block_is_taken():
 @pytest.mark.parametrize("obj", [demo_object(), _Coin()])
 def test_other_objects_still_render_through_describe(obj):
     message = BitString("011010")
-    wire = "".join(encode_lines(message, obj))
+    wire = "".join(encode_statements(message, obj))
     assert wire == _reference_lines(message, obj)
-    assert decode_lines(wire.splitlines(), obj) == message
+    assert verify_statements(wire.splitlines(), obj) == message
 
 
 def test_table_object_lines_are_pinned():
     # Digest of the lines rendered by one describe call per line.
     obj = TableObject([(f"feature {i}", i % 3 == 0) for i in range(50)])
-    wire = "".join(encode_lines(RandomSource(5).bits(50), obj))
+    wire = "".join(encode_statements(RandomSource(5).bits(50), obj))
     assert hashlib.sha256(wire.encode()).hexdigest() == (
         "d702e552a5afcd93e109f2a16764bc0bda2a474c0d8f094529ff660da22de328")
 
@@ -476,20 +474,12 @@ class _Indented(_Coin):
 @pytest.mark.parametrize("obj", [PadObject(PAD), demo_object(), _Coin(), _Indented()])
 def test_encode_statements_are_the_wire_lines_read_back(obj):
     message = RandomSource(19).bits(obj.entropy_bits)
-    wire = "".join(encode_lines(message, obj))
     stmts = [(s.feature_index, s.claimed_value, s.rendering)
-             for s in encode_statements(message, obj)]
-    assert stmts == [(s.feature_index, s.claimed_value, s.rendering)
-                     for s in map(statement_from_line, wire.splitlines())]
+             for s in _read_back(message, obj)]
     # Against one describe call per line, as the reader reads its rendering.
     claims = [b ^ obj.feature(j) for j, b in enumerate(message, start=1)]
     assert stmts == [(j, c, obj.describe(j, c).lstrip())
                      for j, c in enumerate(claims, start=1)]
-
-
-def test_encode_statements_refuses_a_rendering_with_a_line_break():
-    with pytest.raises(ValueError, match="line break"):
-        encode_statements(BitString("1"), _Broken("a\n2 0"))
 
 
 # Every character str.splitlines() ends a line at.
