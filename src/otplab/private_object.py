@@ -190,16 +190,17 @@ def encode_statements(message: BitString, obj: PrivateObject) -> Iterator[str]:
 # leading zeros, whitespace, a claimed value of exactly 0 or 1, then the end
 # or whitespace and the rendering.  ``\s`` is the whitespace str.split()
 # splits on.  int() alone would also take signs, underscores, leading zeros
-# and non-ASCII digits.
+# and non-ASCII digits.  The readers also refuse a line that
+# str.splitlines() splits, such as an encoder block.
 _LINE = re.compile(r"\s*([1-9][0-9]*)\s+([01])(?!\S)")
 
 
 def verify_statements(lines: Iterable[str], obj: PrivateObject) -> BitString:
     """Check each statement line against the object and read the message
     back: true -> 0, false -> 1, in one loop with no :class:`Statement` and
-    no Python call per line.  The lines may come in any order and repeat;
-    each is read as :func:`statement_from_line` reads it.  The first faulty
-    line raises :class:`StatementParseError`."""
+    no Python call per line.  Lines may come in any order and repeat, each
+    read as :func:`statement_from_line` reads it, which refuses a text of
+    several lines; the first faulty line raises :class:`StatementParseError`."""
     width = obj.entropy_bits
     values = " " + obj.features(width).to01()  # values[i] is feature i
     digits = bytearray()  # one ASCII "0" or "1" per line
@@ -207,7 +208,7 @@ def verify_statements(lines: Iterable[str], obj: PrivateObject) -> BitString:
     accept = _LINE.match
     for line in lines:
         fields = accept(line)
-        if fields is None:
+        if fields is None or len(line.splitlines()) > 1:
             raise _line_error(line)
         index_text, claimed = fields.groups()
         try:
@@ -224,21 +225,20 @@ def verify_statements(lines: Iterable[str], obj: PrivateObject) -> BitString:
 
 def _line_error(line: str) -> StatementParseError:
     # Names what is wrong with a line that _LINE refuses or whose index
-    # int() cannot convert.  Only the first two checks are spelled out: a
-    # line with two fields and a valid claim that _LINE still refuses has a
-    # bad index.
-    parts = line.split(maxsplit=2)
-    if len(parts) < 2:
-        return StatementParseError(
-            f"statement line needs '<index> <value>': {line!r}"
-        )
-    if parts[1] not in ("0", "1"):
-        return StatementParseError(f"claimed value must be 0 or 1: {line!r}")
-    if _LINE.match(line) is None:
-        return StatementParseError(
-            f"feature index must be a decimal number >= 1: {line!r}"
-        )
-    return StatementParseError(f"malformed statement line: {line!r}")
+    # int() cannot convert.  Only the first three checks are spelled out: a
+    # single line with two fields and a valid claim that _LINE still refuses
+    # has a bad index.
+    if len(lines := line.splitlines()) > 1:
+        fault, line = f"statement line holds {len(lines)} lines; first", lines[0]
+    elif len(parts := line.split(maxsplit=2)) < 2:
+        fault = "statement line needs '<index> <value>'"
+    elif parts[1] not in ("0", "1"):
+        fault = "claimed value must be 0 or 1"
+    elif _LINE.match(line) is None:
+        fault = "feature index must be a decimal number >= 1"
+    else:
+        fault = "malformed statement line"
+    return StatementParseError(f"{fault}: {line!r}")
 
 
 def statement_to_line(stmt: Statement) -> str:
@@ -260,12 +260,12 @@ def statement_to_line(stmt: Statement) -> str:
 
 
 def statement_from_line(line: str) -> Statement:
-    """Parse the wire form; the rendering tail is kept but never compared."""
+    """Parse the wire form; the rendering, less its line end, is not compared."""
     fields = _LINE.match(line)
-    if fields is None:
+    if fields is None or len(lines := line.splitlines()) > 1:
         raise _line_error(line)
     try:
         index = int(fields[1])
     except ValueError:  # more digits than int() converts
         raise _line_error(line) from None
-    return Statement(index, int(fields[2]), line[fields.end():].lstrip())
+    return Statement(index, int(fields[2]), lines[0][fields.end():].lstrip())

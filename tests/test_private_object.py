@@ -123,6 +123,13 @@ def test_round_trip(pair):
         return
     obj = PadObject(pad)
     assert verify_statements(_lines(m, obj), obj) == m
+    # The encoder's text blocks are not lines: a block of two or more lines
+    # is refused, not read as its first line.
+    if len(m) > 1:
+        with pytest.raises(StatementParseError, match=r"^statement line holds \d+ lines; first: "):
+            verify_statements(encode_statements(m, obj), obj)
+    else:
+        assert verify_statements(encode_statements(m, obj), obj) == m
 
 
 def test_table_object_and_demo():
@@ -164,6 +171,30 @@ def test_wire_form_errors():
         with pytest.raises(StatementParseError) as info:
             statement_from_line(bad)
         assert str(info.value) == f"{_FAULTS[bad]}: {bad!r}"
+
+
+# Each holds a line break before its end, so str.splitlines() would split it.
+_SEVERAL_LINES = ("1 0\n2 1", "1\n0", "\n1 0", "1 0\n\n", "1 0 a\rb",
+                  "1 0 a\u2028b", "1\x0b0", "1 0\x85\x1c")
+
+
+@pytest.mark.parametrize("bad", _SEVERAL_LINES)
+def test_a_line_that_holds_a_line_break_is_refused(bad):
+    first = bad.splitlines()[0]
+    fault = f"^statement line holds 2 lines; first: {re.escape(repr(first))}$"
+    with pytest.raises(StatementParseError, match=fault):
+        statement_from_line(bad)
+    with pytest.raises(StatementParseError, match=fault):
+        verify_statements(["1 1", bad], PadObject(PAD))
+
+
+def test_a_line_may_end_in_one_line_break():
+    # As the lines of a file do; the break is not part of the rendering.
+    for end in ("\n", "\r\n", "\r", "\x85", "\u2028"):
+        assert statement_from_line(f"7 0 bit 7{end}") == Statement(7, 0, "bit 7")
+        assert statement_from_line(f"7 0 bit 7{end}").rendering == "bit 7"
+        assert statement_from_line(f"7 0{end}").rendering == ""
+        assert verify_statements([f"1 1{end}", f"3 0 x{end}"], PadObject(PAD)) == BitString("01")
 
 
 def test_decode_lines_rejects_every_malformed_line():
@@ -300,7 +331,7 @@ def _statement_lines(draw):
         st.sampled_from(["", " ", "\t"]), st.integers(1, PAD.length), space,
         st.sampled_from("01"),
         st.sampled_from(["", " ", " bit 3 of the OTP is 1", "\t7 0 x "]))
-    faulty = st.sampled_from(MALFORMED_STATEMENT_LINES) | st.builds(
+    faulty = st.sampled_from(MALFORMED_STATEMENT_LINES + _SEVERAL_LINES) | st.builds(
         "{} {}".format, st.integers(PAD.length + 1, PAD.length + 3),
         st.sampled_from("01"))
     lines = draw(st.lists(well_formed, max_size=40))
